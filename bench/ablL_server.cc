@@ -270,13 +270,7 @@ BENCHMARK(BM_ServerMixedThroughput)
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Shard databases inherit the process-wide EDNA_EXEC_MODE default, so the
-  // header records which executor the daemon ran under.
-  std::printf("Ablation L: daemon under mixed load. exec mode: %s "
-              "(EDNA_EXEC_MODE flips it)\n\n",
-              edna::db::Database().exec_mode() == edna::db::ExecMode::kVectorized
-                  ? "vectorized"
-                  : "row-at-a-time");
+  std::printf("Ablation L: daemon under mixed load.\n\n");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;

@@ -1,46 +1,24 @@
-// Ablation M: vectorized scan-and-transform + the multi-block crypto
-// substrate. Three workloads on one core:
-//   * scan-filter: unindexed analytic predicates over the HotCRP tables —
-//     the planner has no probe, so every statement is a full scan. Row mode
-//     walks rows and re-runs the register program per row; vectorized mode
-//     reads the column sidecar slab-by-slab and runs each instruction
-//     across 1024 lanes.
-//   * composition / mass deletion: the tab1 and ablG disguise workloads over
-//     an EncryptedVault, so every apply seals its reveal records (AEAD on
-//     the measured path) and residual filtering rides the chunked
-//     evaluator.
-// Axes: vectorized=0/1 flips ExecMode on the database; sealed benches add
-// batched=0/1 for EncryptedVault::set_batched_crypto (one subkey derivation
-// per owner key vs one per record — output bytes identical either way).
-// Both knobs are fingerprint-invisible; only wall time and the db_vector_*
-// counters move.
+// Ablation M: batched residual evaluation on full scans. Unindexed analytic
+// predicates over the HotCRP tables give the planner no probe, so every
+// statement scans its table and runs the compiled residual over every live
+// row, gathered into row-pointer chunks of 1024 lanes. Two workloads:
+//   * scan-filter: 20 rounds of the five scans between single writes, the
+//     repeated-scan pattern of an analytic read;
+//   * scan-filter-after-write: one SetColumn on the scanned table before
+//     every scan, the pattern of a disguise that scans and then rewrites.
+// Both export the db_vector_* counters next to rows examined and full scans.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
 #include "src/sql/parser.h"
-#include "src/vault/encrypted_vault.h"
 
 namespace {
 
-using benchutil::BaseWorld;
 using benchutil::CheckOk;
 using benchutil::FreshDb;
-using benchutil::MakeEngine;
-using edna::Rng;
-using edna::SimulatedClock;
-using edna::db::ExecMode;
 using edna::sql::Value;
-namespace hotcrp = edna::hotcrp;
 
-ExecMode Mode(const benchmark::State& state) {
-  return state.range(0) != 0 ? ExecMode::kVectorized : ExecMode::kRowAtATime;
-}
-
-edna::vault::KeyProvider TestKeyProvider() {
-  return [](const Value& uid) -> edna::StatusOr<std::vector<uint8_t>> {
-    return std::vector<uint8_t>(32, static_cast<uint8_t>(uid.is_int() ? uid.AsInt() : 1));
-  };
-}
+constexpr double kScale = 2.33;
 
 void ExportVectorCounters(benchmark::State& state, const edna::db::Database& db) {
   state.counters["chunks"] = static_cast<double>(db.stats().chunks_scanned.load());
@@ -52,206 +30,91 @@ void ExportVectorCounters(benchmark::State& state, const edna::db::Database& db)
   state.counters["full_scans"] = static_cast<double>(db.stats().full_scans.load());
 }
 
-// Unindexed predicates: the planner finds no probe, so each Select is a
-// full scan whose residual runs over every live row.
-const char* const kScanPreds[][2] = {
-    {"ContactInfo", "\"roles\" >= 0 AND \"creationTime\" >= 0"},
-    {"ContactInfo", "\"email\" LIKE '%@%' AND \"roles\" < 8"},
-    {"Paper", "\"timeSubmitted\" > 0 AND \"outcome\" >= 0"},
-    {"Paper", "\"title\" LIKE '%a%' AND \"timeWithdrawn\" = 0"},
-    {"PaperReview", "(\"reviewId\" * 2) >= 0"},
+// Unindexed predicates, each with a column of the same table that no
+// predicate reads (the write the second workload makes before each scan).
+struct ScanCase {
+  const char* table;
+  const char* pred;
+  const char* touch_column;
+};
+const ScanCase kScans[] = {
+    {"ContactInfo", "\"roles\" >= 0 AND \"creationTime\" >= 0", "defaultWatch"},
+    {"ContactInfo", "\"email\" LIKE '%@%' AND \"roles\" < 8", "defaultWatch"},
+    {"Paper", "\"timeSubmitted\" > 0 AND \"outcome\" >= 0", "abstract"},
+    {"Paper", "\"title\" LIKE '%a%' AND \"timeWithdrawn\" = 0", "abstract"},
+    {"PaperReview", "(\"reviewId\" * 2) >= 0", "reviewText"},
 };
 
-void BM_ScanFilter(benchmark::State& state) {
-  constexpr double kScale = 2.33;
-  constexpr int kRepeats = 20;
+std::vector<edna::sql::ExprPtr> ParseScans() {
   std::vector<edna::sql::ExprPtr> preds;
-  std::vector<std::string> tables;
-  for (const auto& [table, text] : kScanPreds) {
-    auto e = edna::sql::ParseExpression(text);
+  for (const ScanCase& scan : kScans) {
+    auto e = edna::sql::ParseExpression(scan.pred);
     CheckOk(e.status(), "parse");
     preds.push_back(std::move(*e));
-    tables.emplace_back(table);
   }
+  return preds;
+}
+
+size_t RunScan(edna::db::Database* db, size_t i, const edna::sql::ExprPtr& pred) {
+  auto rows = db->Select(kScans[i].table, pred.get(), {});
+  CheckOk(rows.status(), "select");
+  return rows->size();
+}
+
+void BM_ScanFilter(benchmark::State& state) {
+  constexpr int kRepeats = 20;
+  std::vector<edna::sql::ExprPtr> preds = ParseScans();
   std::unique_ptr<edna::db::Database> db = FreshDb(kScale);
-  db->SetExecMode(Mode(state));
   db->ResetStats();
   size_t matched = 0;
   for (auto _ : state) {
     for (int r = 0; r < kRepeats; ++r) {
       for (size_t i = 0; i < preds.size(); ++i) {
-        auto rows = db->Select(tables[i], preds[i].get(), {});
-        CheckOk(rows.status(), "select");
-        matched += rows->size();
+        matched += RunScan(db.get(), i, preds[i]);
       }
     }
-    // A write between rounds invalidates the touched slab, so steady state
-    // includes the sidecar's rebuild cost, not just cached re-reads.
-    CheckOk(db->SetColumn("ContactInfo", 1, "defaultWatch", Value::String("w")),
-            "touch");
+    CheckOk(db->SetColumn("ContactInfo", 1, "defaultWatch", Value::String("w")), "touch");
   }
   benchmark::DoNotOptimize(matched);
   ExportVectorCounters(state, *db);
 }
-BENCHMARK(BM_ScanFilter)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"vectorized"})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(10);
+BENCHMARK(BM_ScanFilter)->Unit(benchmark::kMillisecond)->Iterations(10);
 
-// The crypto substrate in isolation: StoreBatch sealing N reveal records
-// across K owner keys, then fetching (opening) them all back. batched=1
-// derives each owner's enc/MAC subkey pair once and reuses it across that
-// owner's records; batched=0 pays the two HMAC chains per record. This is
-// the axis the sealed disguise workloads dilute with database work.
-void BM_VaultSeal(benchmark::State& state) {
-  constexpr int kOwners = 40;
-  constexpr int kRecordsPerOwner = 50;
-  std::vector<edna::vault::RevealRecord> records;
-  for (int u = 1; u <= kOwners; ++u) {
-    for (int r = 0; r < kRecordsPerOwner; ++r) {
-      edna::vault::RevealRecord rec;
-      rec.disguise_id = static_cast<uint64_t>(u * 1000 + r);
-      rec.disguise_name = "Scrub";
-      rec.user_id = Value::Int(u);
-      rec.created = 1000;
-      edna::vault::RevealOp op;
-      op.kind = edna::vault::RevealOp::Kind::kRestoreColumn;
-      op.table = "ContactInfo";
-      op.row_id = static_cast<edna::db::RowId>(r + 1);
-      op.column = "email";
-      op.old_value = Value::String("user" + std::to_string(u) + "@example.org");
-      op.new_value = Value::Null();
-      op.owner = rec.user_id;
-      rec.ops.push_back(std::move(op));
-      records.push_back(std::move(rec));
-    }
-  }
-  std::unique_ptr<edna::vault::EncryptedVault> vault;
+void BM_ScanFilterAfterWrite(benchmark::State& state) {
+  constexpr int kRepeats = 20;
+  std::vector<edna::sql::ExprPtr> preds = ParseScans();
+  std::unique_ptr<edna::db::Database> db = FreshDb(kScale);
+  db->ResetStats();
+  size_t matched = 0;
+  int64_t stamp = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    vault = std::make_unique<edna::vault::EncryptedVault>(
-        std::vector<uint8_t>(32, 0x42), TestKeyProvider(), Rng(7));
-    vault->set_batched_crypto(state.range(0) != 0);
-    state.ResumeTiming();
-
-    CheckOk(vault->StoreBatch(records), "store batch");
-    for (int u = 1; u <= kOwners; ++u) {
-      auto fetched = vault->FetchForUser(Value::Int(u));
-      CheckOk(fetched.status(), "fetch");
-      if (fetched->size() != kRecordsPerOwner) {
-        std::fprintf(stderr, "fetch returned %zu records\n", fetched->size());
-        std::abort();
+    for (int r = 0; r < kRepeats; ++r) {
+      for (size_t i = 0; i < preds.size(); ++i) {
+        CheckOk(db->SetColumn(kScans[i].table, 1, kScans[i].touch_column,
+                              Value::String("w" + std::to_string(++stamp))),
+                "touch");
+        matched += RunScan(db.get(), i, preds[i]);
       }
     }
   }
-  state.counters["records"] = kOwners * kRecordsPerOwner;
-}
-BENCHMARK(BM_VaultSeal)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"batched"})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(10);
-
-// tab1's composition row over an EncryptedVault: ConfAnon seals the global
-// reveal records, then each composed GDPR+ fetches (opens) and re-seals.
-void BM_CompositionSealed(benchmark::State& state) {
-  std::unique_ptr<edna::db::Database> db;
-  std::unique_ptr<edna::vault::EncryptedVault> vault;
-  std::unique_ptr<edna::core::DisguiseEngine> engine;
-  for (auto _ : state) {
-    state.PauseTiming();
-    engine.reset();
-    db = FreshDb();
-    vault = std::make_unique<edna::vault::EncryptedVault>(
-        std::vector<uint8_t>(32, 0x42), TestKeyProvider(), Rng(7));
-    vault->set_batched_crypto(state.range(1) != 0);
-    static SimulatedClock clock(0);
-    engine = MakeEngine(db.get(), vault.get(), &clock);
-    db->SetExecMode(Mode(state));
-    db->ResetStats();
-    state.ResumeTiming();
-
-    CheckOk(engine->Apply(hotcrp::kConfAnonName, {}).status(), "ConfAnon");
-    for (int i = 0; i < 6; ++i) {
-      int64_t uid = BaseWorld().gen.pc_contact_ids[static_cast<size_t>(i)];
-      auto composed = engine->ApplyForUser(hotcrp::kGdprPlusName, Value::Int(uid));
-      CheckOk(composed.status(), "composed GDPR+");
-    }
-
-    state.PauseTiming();
-    CheckOk(db->CheckIntegrity(), "integrity");
-    state.ResumeTiming();
-  }
+  benchmark::DoNotOptimize(matched);
   ExportVectorCounters(state, *db);
 }
-BENCHMARK(BM_CompositionSealed)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->ArgNames({"vectorized", "batched"})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(10);
-
-// Ablation G's serial mass deletion over an EncryptedVault: every contact
-// files a GDPR removal, and each apply seals its reveal records.
-void BM_MassDeletionSealed(benchmark::State& state) {
-  constexpr double kScale = 2.33;
-  std::unique_ptr<edna::db::Database> db;
-  std::unique_ptr<edna::vault::EncryptedVault> vault;
-  std::unique_ptr<edna::core::DisguiseEngine> engine;
-  const std::vector<int64_t>& uids = BaseWorld(kScale).gen.all_contact_ids;
-  for (auto _ : state) {
-    state.PauseTiming();
-    engine.reset();
-    db = FreshDb(kScale);
-    vault = std::make_unique<edna::vault::EncryptedVault>(
-        std::vector<uint8_t>(32, 0x42), TestKeyProvider(), Rng(7));
-    vault->set_batched_crypto(state.range(1) != 0);
-    static SimulatedClock clock(0);
-    engine = MakeEngine(db.get(), vault.get(), &clock);
-    db->SetExecMode(Mode(state));
-    db->ResetStats();
-    state.ResumeTiming();
-
-    for (int64_t uid : uids) {
-      auto r = engine->ApplyForUser(hotcrp::kGdprName, Value::Int(uid));
-      CheckOk(r.status(), "GDPR removal");
-    }
-
-    state.PauseTiming();
-    CheckOk(db->CheckIntegrity(), "integrity");
-    state.ResumeTiming();
-  }
-  ExportVectorCounters(state, *db);
-}
-BENCHMARK(BM_MassDeletionSealed)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->ArgNames({"vectorized", "batched"})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
+BENCHMARK(BM_ScanFilterAfterWrite)->Unit(benchmark::kMillisecond)->Iterations(10);
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::printf(
-      "Ablation M: vectorized execution + batched sealing, single core.\n"
-      "expected shape: scan-filter improves most under vectorized=1 (whole-\n"
-      "chunk register programs over the column sidecar); the sealed disguise\n"
-      "workloads improve under batched=1 (one subkey derivation per owner\n"
-      "key) and stack with vectorized=1. All combinations are\n"
-      "fingerprint-identical; only wall time and the vector counters move.\n\n");
+      "Ablation M: batched residual evaluation on full scans. Each scan\n"
+      "gathers its table's live rows into 1024-lane row-pointer chunks and\n"
+      "runs the compiled predicate one instruction per chunk; the second\n"
+      "workload writes to the scanned table before every scan.\n\n");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  benchutil::BaseWorld();
+  benchutil::BaseWorld(kScale);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -8,21 +8,19 @@ namespace edna::crypto {
 
 namespace {
 
-// Serializes the MAC input (nonce || aad_len || aad || ciphertext) into
-// `buf`, which is reused across entries of a batch to avoid reallocating.
+// MAC over (nonce || aad_len || aad || ciphertext).
 Sha256Digest ComputeMac(const std::vector<uint8_t>& mac_key, const ChaChaNonce& nonce,
-                        std::string_view aad, const std::vector<uint8_t>& ciphertext,
-                        std::vector<uint8_t>* buf) {
-  buf->clear();
-  buf->reserve(nonce.size() + 8 + aad.size() + ciphertext.size());
-  buf->insert(buf->end(), nonce.begin(), nonce.end());
+                        std::string_view aad, const std::vector<uint8_t>& ciphertext) {
+  std::vector<uint8_t> buf;
+  buf.reserve(nonce.size() + 8 + aad.size() + ciphertext.size());
+  buf.insert(buf.end(), nonce.begin(), nonce.end());
   uint64_t aad_len = aad.size();
   for (int i = 0; i < 8; ++i) {
-    buf->push_back(static_cast<uint8_t>(aad_len >> (8 * i)));
+    buf.push_back(static_cast<uint8_t>(aad_len >> (8 * i)));
   }
-  buf->insert(buf->end(), aad.begin(), aad.end());
-  buf->insert(buf->end(), ciphertext.begin(), ciphertext.end());
-  return HmacSha256(mac_key, *buf);
+  buf.insert(buf.end(), aad.begin(), aad.end());
+  buf.insert(buf.end(), ciphertext.begin(), ciphertext.end());
+  return HmacSha256(mac_key, buf);
 }
 
 }  // namespace
@@ -61,15 +59,13 @@ SealedBox SealWith(const SealKeys& keys, const ChaChaNonce& nonce,
   box.nonce = nonce;
   box.ciphertext = plaintext;
   ChaCha20Xor(keys.enc, nonce, 1, &box.ciphertext);
-  std::vector<uint8_t> scratch;
-  box.mac = ComputeMac(keys.mac, nonce, aad, box.ciphertext, &scratch);
+  box.mac = ComputeMac(keys.mac, nonce, aad, box.ciphertext);
   return box;
 }
 
 StatusOr<std::vector<uint8_t>> OpenWith(const SealKeys& keys, const SealedBox& box,
                                         std::string_view aad) {
-  std::vector<uint8_t> scratch;
-  Sha256Digest expect = ComputeMac(keys.mac, box.nonce, aad, box.ciphertext, &scratch);
+  Sha256Digest expect = ComputeMac(keys.mac, box.nonce, aad, box.ciphertext);
   if (!DigestEqualConstantTime(expect, box.mac)) {
     return PermissionDenied("vault entry MAC check failed (wrong key or tampered data)");
   }
@@ -86,21 +82,6 @@ SealedBox Seal(const std::vector<uint8_t>& master_key, const ChaChaNonce& nonce,
 StatusOr<std::vector<uint8_t>> Open(const std::vector<uint8_t>& master_key,
                                     const SealedBox& box, std::string_view aad) {
   return OpenWith(DeriveSealKeys(master_key), box, aad);
-}
-
-std::vector<SealedBox> SealBatch(const SealKeys& keys, const std::vector<SealItem>& items) {
-  std::vector<SealedBox> out;
-  out.reserve(items.size());
-  std::vector<uint8_t> scratch;
-  for (const SealItem& item : items) {
-    SealedBox box;
-    box.nonce = item.nonce;
-    box.ciphertext = *item.plaintext;
-    ChaCha20Xor(keys.enc, item.nonce, 1, &box.ciphertext);
-    box.mac = ComputeMac(keys.mac, item.nonce, item.aad, box.ciphertext, &scratch);
-    out.push_back(std::move(box));
-  }
-  return out;
 }
 
 }  // namespace edna::crypto

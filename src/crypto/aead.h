@@ -52,19 +52,6 @@ SealedBox SealWith(const SealKeys& keys, const ChaChaNonce& nonce,
 StatusOr<std::vector<uint8_t>> OpenWith(const SealKeys& keys, const SealedBox& box,
                                         std::string_view aad);
 
-// One entry of a batched seal: plaintext/aad in, nonce chosen by the caller
-// (each entry MUST get a distinct nonce under a given key).
-struct SealItem {
-  ChaChaNonce nonce{};
-  const std::vector<uint8_t>* plaintext = nullptr;
-  std::string_view aad;
-};
-
-// Seals N entries under one key pair, deriving subkeys once and reusing the
-// MAC scratch buffer across entries. Output order matches input order, and
-// entry i is byte-identical to Seal(master, items[i].nonce, ...).
-std::vector<SealedBox> SealBatch(const SealKeys& keys, const std::vector<SealItem>& items);
-
 }  // namespace edna::crypto
 
 #endif  // SRC_CRYPTO_AEAD_H_

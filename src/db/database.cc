@@ -1,8 +1,6 @@
 #include "src/db/database.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <set>
 
 #include "src/common/failpoint.h"
@@ -20,20 +18,6 @@ namespace {
 thread_local uint64_t tls_statements = 0;
 
 }  // namespace
-
-Database::Database() {
-  if (const char* env = std::getenv("EDNA_EXEC_MODE"); env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "vectorized") == 0) {
-      exec_mode_.store(ExecMode::kVectorized, std::memory_order_relaxed);
-    } else if (std::strcmp(env, "row-at-a-time") == 0 || std::strcmp(env, "row") == 0) {
-      exec_mode_.store(ExecMode::kRowAtATime, std::memory_order_relaxed);
-    } else {
-      EDNA_LOG(kWarning) << "EDNA_EXEC_MODE=\"" << env
-                         << "\" is not \"vectorized\" or \"row-at-a-time\"; "
-                            "keeping row-at-a-time";
-    }
-  }
-}
 
 sql::ColumnResolver MakeRowResolver(const TableSchema& schema, const Row& row) {
   return [&schema, &row](const std::string& table,
@@ -336,7 +320,7 @@ Status Database::AttachPageCache(const CacheOptions& options,
   RETURN_IF_ERROR(cache->Init());
   for (auto& [name, table] : tables_) {
     const uint32_t table_id = cache->RegisterTable(name, &table);
-    table.SetPager(cache.get(), table_id, cache->rows_per_page());
+    table.SetPager(cache.get(), table_id);
   }
   cache_ = std::move(cache);
   return OkStatus();
@@ -425,7 +409,7 @@ Status Database::CreateTable(TableSchema schema) {
         tables_.emplace(std::move(name), Table(std::move(schema)));
     if (cache_ != nullptr) {
       const uint32_t table_id = cache_->RegisterTable(it->first, &it->second);
-      it->second.SetPager(cache_.get(), table_id, cache_->rows_per_page());
+      it->second.SetPager(cache_.get(), table_id);
     }
     InvalidatePlans();
   }
@@ -654,10 +638,6 @@ StatusOr<std::vector<RowId>> Database::MatchRows(const Table& table, const sql::
     return candidates;
   }
 
-  if (planner_mode() == PlannerMode::kInterpreted) {
-    return MatchRowsInterpreted(table, pred, params);
-  }
-
   // Fast path: `col = <literal or $param>` on an indexed column. The
   // engine's hot path is dominated by this shape — literal one-shots (one
   // statement per placeholder row) and spec predicates like
@@ -726,11 +706,10 @@ StatusOr<std::vector<RowId>> Database::MatchRows(const Table& table, const sql::
     return candidates;
   }
 
-  // Access path: seed candidates from the plan's probes. Vectorized
-  // full scans skip materializing AllRowIds — they read the column sidecar's
-  // slabs in place instead of walking a candidate list.
-  const bool vectorized = exec_mode() == ExecMode::kVectorized;
+  // Access path: seed candidates from the plan's probes; scan every row when
+  // no probe applies.
   std::vector<RowId> candidates;
+  const IndexProbe* unprobed = nullptr;  // a probe whose index was missing
   bool scanned = false;
   switch (plan->access) {
     case TablePlan::Access::kProbe: {
@@ -741,6 +720,7 @@ StatusOr<std::vector<RowId>> Database::MatchRows(const Table& table, const sql::
       for (const IndexProbe& probe : plan->probes) {
         ASSIGN_OR_RETURN(bool probed, ExecuteProbe(table, probe, params, &probe_rows));
         if (!probed) {
+          unprobed = &probe;
           continue;  // index unavailable (defensive); rely on other probes
         }
         if (!seeded) {
@@ -758,60 +738,50 @@ StatusOr<std::vector<RowId>> Database::MatchRows(const Table& table, const sql::
           break;
         }
       }
-      if (!seeded) {
-        scanned = true;
-        if (!vectorized || plan->exact) {
-          candidates = table.AllRowIds();
-        }
-      }
+      scanned = !seeded;
       break;
     }
     case TablePlan::Access::kUnion: {
-      bool all_probed = true;
       std::vector<RowId> probe_rows;
       for (const IndexProbe& probe : plan->union_arms) {
         ASSIGN_OR_RETURN(bool probed, ExecuteProbe(table, probe, params, &probe_rows));
         if (!probed) {
-          all_probed = false;  // an arm we cannot probe may match anything
+          unprobed = &probe;  // an arm we cannot probe may match anything
           break;
         }
         candidates.insert(candidates.end(), probe_rows.begin(), probe_rows.end());
         probe_rows.clear();
       }
-      if (all_probed) {
+      if (unprobed == nullptr) {
         std::sort(candidates.begin(), candidates.end());
         candidates.erase(std::unique(candidates.begin(), candidates.end()),
                          candidates.end());
       } else {
-        candidates.clear();
         scanned = true;
-        if (!vectorized || plan->exact) {
-          candidates = table.AllRowIds();
-        }
       }
       break;
     }
     case TablePlan::Access::kFullScan:
     default:
       scanned = true;
-      if (!vectorized || plan->exact) {
-        candidates = table.AllRowIds();
-      }
       break;
   }
   if (scanned) {
     if (plan->exact) {
-      // An exact plan has no residual to filter a scan with; this only
-      // happens if a probe found its index missing (defensive — plans are
-      // invalidated on DDL and indexes are never dropped). The interpreter
-      // is the safety net; it does its own counter accounting.
-      return MatchRowsInterpreted(table, pred, params);
+      // An exact plan has no residual to filter a scan with. Plans are
+      // invalidated on DDL and indexes are never dropped, so a missing index
+      // here means the plan and the table disagree.
+      return Internal(StrFormat(
+          "exact plan for \"%s\" probes column \"%s\", which has no usable index",
+          table.schema().name().c_str(),
+          unprobed != nullptr ? unprobed->column.c_str() : "?"));
     }
     ++stats_.full_scans;
+    candidates = table.AllRowIds();
   }
 
   // Exact plan: the probes' row set IS the answer (see plan.h). Skipping
-  // the per-row filter matches the interpreter on these shapes because the
+  // the per-row filter matches SQL evaluation on these shapes because the
   // index groups rows by the same value ordering SQL comparison uses.
   if (plan->exact) {
     stats_.rows_read += candidates.size();
@@ -819,99 +789,8 @@ StatusOr<std::vector<RowId>> Database::MatchRows(const Table& table, const sql::
   }
 
   // Residual filter: the FULL compiled predicate over every candidate.
-  sql::BoundParams bound = plan->residual->BindParams(params);
-  if (vectorized) {
-    if (scanned) {
-      return FilterScanVectorized(table, *plan->residual, bound);
-    }
-    return FilterCandidatesVectorized(table, candidates, *plan->residual, bound);
-  }
-  sql::EvalScratch scratch;
-  std::vector<RowId> out;
-  for (RowId id : candidates) {
-    const Row* row = table.Find(id);
-    if (row == nullptr) {
-      continue;
-    }
-    ++stats_.rows_read;
-    ++stats_.rows_examined;
-    ASSIGN_OR_RETURN(bool match,
-                     plan->residual->Matches(row->data(), row->size(), bound, &scratch));
-    if (match) {
-      out.push_back(id);
-    }
-  }
-  // With a pager, a nullptr Find above may be a fault failure, not a gone
-  // row; surface it instead of silently dropping candidates.
-  RETURN_IF_ERROR(StickyCacheError());
-  return out;
-}
-
-namespace {
-
-// Shared by both vectorized filters: fold one MatchChunk run into the vector
-// counters and collect the matching lanes.
-struct VectorRunTotals {
-  uint64_t lanes = 0;
-  uint64_t matches = 0;
-};
-
-void AccountChunk(const sql::ChunkScratch& scratch, DbStats* stats,
-                  VectorRunTotals* totals) {
-  ++stats->chunks_scanned;
-  stats->vector_ops += scratch.insns_executed;
-  stats->vector_lanes += scratch.lanes_evaluated;
-  stats->rows_read += scratch.lanes_evaluated;
-  stats->rows_examined += scratch.lanes_evaluated;
-  totals->lanes += scratch.lanes_evaluated;
-  totals->matches += scratch.match_count;
-}
-
-void SettleDensity(const VectorRunTotals& totals, DbStats* stats) {
-  if (totals.lanes > 0) {
-    stats->selection_density_bp.store(totals.matches * 10000 / totals.lanes,
-                                      std::memory_order_relaxed);
-  }
-}
-
-}  // namespace
-
-StatusOr<std::vector<RowId>> Database::FilterScanVectorized(
-    const Table& table, const sql::CompiledPredicate& residual,
-    const sql::BoundParams& bound) const {
-  static thread_local sql::ChunkScratch scratch;
-  const size_t width = table.schema().num_columns();
-  std::vector<const sql::Value*> col_ptrs(width);
-  std::vector<RowId> out;
-  VectorRunTotals totals;
-  const size_t num_slabs = table.NumColumnSlabs();
-  for (size_t s = 0; s < num_slabs; ++s) {
-    ASSIGN_OR_RETURN(const ColumnSlab* slab, table.GetColumnSlab(s));
-    if (slab->live_rows == 0) {
-      continue;
-    }
-    for (size_t c = 0; c < width; ++c) {
-      col_ptrs[c] = slab->columns[c].data();
-    }
-    sql::RowChunk chunk;
-    chunk.lanes = slab->lanes;
-    chunk.row_width = width;
-    chunk.columns = col_ptrs.data();
-    chunk.active = slab->present.data();
-    Status matched = residual.MatchChunk(chunk, bound, &scratch);
-    AccountChunk(scratch, &stats_, &totals);
-    RETURN_IF_ERROR(matched);
-    for (size_t w = 0; w * 64 < slab->lanes; ++w) {
-      uint64_t bits = scratch.match_bits[w];
-      while (bits != 0) {
-        const int lane = __builtin_ctzll(bits);
-        bits &= bits - 1;
-        out.push_back(slab->first_row + static_cast<RowId>(w * 64 + lane));
-      }
-    }
-  }
-  SettleDensity(totals, &stats_);
-  return out;
+  return FilterCandidatesVectorized(table, candidates, *plan->residual,
+                                    plan->residual->BindParams(params));
 }
 
 StatusOr<std::vector<RowId>> Database::FilterCandidatesVectorized(
@@ -924,7 +803,8 @@ StatusOr<std::vector<RowId>> Database::FilterCandidatesVectorized(
   row_ptrs.reserve(std::min<size_t>(candidates.size(), sql::kChunkLanes));
   lane_ids.reserve(row_ptrs.capacity());
   std::vector<RowId> out;
-  VectorRunTotals totals;
+  uint64_t lanes = 0;
+  uint64_t matches = 0;
   size_t i = 0;
   while (i < candidates.size()) {
     // Gather up to one chunk of resident rows. Row pointers stay valid for
@@ -948,7 +828,13 @@ StatusOr<std::vector<RowId>> Database::FilterCandidatesVectorized(
     chunk.row_width = width;
     chunk.rows = row_ptrs.data();
     Status matched = residual.MatchChunk(chunk, bound, &scratch);
-    AccountChunk(scratch, &stats_, &totals);
+    ++stats_.chunks_scanned;
+    stats_.vector_ops += scratch.insns_executed;
+    stats_.vector_lanes += scratch.lanes_evaluated;
+    stats_.rows_read += scratch.lanes_evaluated;
+    stats_.rows_examined += scratch.lanes_evaluated;
+    lanes += scratch.lanes_evaluated;
+    matches += scratch.match_count;
     RETURN_IF_ERROR(matched);
     for (size_t w = 0; w * 64 < chunk.lanes; ++w) {
       uint64_t bits = scratch.match_bits[w];
@@ -959,77 +845,8 @@ StatusOr<std::vector<RowId>> Database::FilterCandidatesVectorized(
       }
     }
   }
-  SettleDensity(totals, &stats_);
-  RETURN_IF_ERROR(StickyCacheError());
-  return out;
-}
-
-StatusOr<std::vector<RowId>> Database::MatchRowsInterpreted(
-    const Table& table, const sql::Expr* pred, const sql::ParamMap& params) const {
-  std::vector<RowId> candidates;
-  bool used_index = false;
-
-  // Planner: find an equality conjunct `col = <constant>` whose column is
-  // indexed; use it to seed candidates, then filter by the full predicate.
-  if (pred != nullptr) {
-    const sql::Expr* node = pred;
-    std::vector<const sql::Expr*> stack{node};
-    while (!stack.empty() && !used_index) {
-      const sql::Expr* e = stack.back();
-      stack.pop_back();
-      if (e->kind() == sql::ExprKind::kBinary && e->binary_op() == sql::BinaryOp::kAnd) {
-        stack.push_back(e->children()[0].get());
-        stack.push_back(e->children()[1].get());
-        continue;
-      }
-      if (e->kind() != sql::ExprKind::kBinary || e->binary_op() != sql::BinaryOp::kEq) {
-        continue;
-      }
-      const sql::Expr* lhs = e->children()[0].get();
-      const sql::Expr* rhs = e->children()[1].get();
-      if (lhs->kind() != sql::ExprKind::kColumnRef) {
-        std::swap(lhs, rhs);
-      }
-      if (lhs->kind() != sql::ExprKind::kColumnRef ||
-          !sql::IsConstantExpression(*rhs)) {
-        continue;
-      }
-      if (!table.HasIndexOn(lhs->column())) {
-        continue;
-      }
-      auto value = sql::EvaluateConstant(*rhs, params);
-      if (!value.ok()) {
-        return value.status();
-      }
-      if (table.IndexLookup(lhs->column(), *value, &candidates)) {
-        used_index = true;
-        ++stats_.index_lookups;
-      }
-    }
-  }
-
-  if (!used_index) {
-    candidates = table.AllRowIds();
-    ++stats_.full_scans;
-  }
-
-  if (pred == nullptr) {
-    stats_.rows_read += candidates.size();
-    return candidates;
-  }
-
-  std::vector<RowId> out;
-  for (RowId id : candidates) {
-    const Row* row = table.Find(id);
-    if (row == nullptr) {
-      continue;
-    }
-    ++stats_.rows_read;
-    sql::ColumnResolver resolver = MakeRowResolver(table.schema(), *row);
-    ASSIGN_OR_RETURN(bool match, sql::EvaluatePredicate(*pred, resolver, params));
-    if (match) {
-      out.push_back(id);
-    }
+  if (lanes > 0) {
+    stats_.selection_density_bp.store(matches * 10000 / lanes, std::memory_order_relaxed);
   }
   RETURN_IF_ERROR(StickyCacheError());
   return out;
@@ -1142,9 +959,6 @@ StatusOr<std::string> Database::DescribePlan(const std::string& table,
   auto it = tables_.find(table);
   if (it == tables_.end()) {
     return NotFound("no table \"" + table + "\"");
-  }
-  if (planner_mode() == PlannerMode::kInterpreted) {
-    return std::string("interpreted");
   }
   ASSIGN_OR_RETURN(std::shared_ptr<const TablePlan> plan, GetPlan(it->second, pred));
   return plan->description;

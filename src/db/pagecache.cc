@@ -167,10 +167,7 @@ Status LzDecompress(const uint8_t* in, size_t in_len, size_t raw_len,
 }
 
 PageCache::PageCache(CacheOptions options, std::string dir, DbStats* stats)
-    : options_(options),
-      dir_(std::move(dir)),
-      stats_(stats),
-      rows_per_page_(std::max<uint32_t>(1, options.page_size_bytes / 128)) {}
+    : options_(options), dir_(std::move(dir)), stats_(stats) {}
 
 PageCache::~PageCache() = default;
 
@@ -216,7 +213,7 @@ uint32_t PageCache::RegisterTable(const std::string& name, Table* table) {
     meta.bytes += bytes;
     total += bytes;
   });
-  for (auto& [page, meta] : ts.pages) PolicyInsert(id, page, meta);
+  for (auto& [page, meta] : ts.pages) ClockTouch(id, page, meta);
   AddResident(static_cast<int64_t>(total));
   return id;
 }
@@ -228,17 +225,17 @@ Status PageCache::Access(uint32_t table_id, uint64_t page) {
   PageMeta& meta = it->second;
   if (inserted) {
     // First touch of a page that has never held rows (insert path).
-    PolicyInsert(table_id, page, meta);
+    ClockTouch(table_id, page, meta);
     return OkStatus();
   }
   if (meta.resident) {
     stats_->page_hits.fetch_add(1, std::memory_order_relaxed);
-    PolicyTouch(table_id, page, meta);
+    ClockTouch(table_id, page, meta);
     return OkStatus();
   }
   stats_->page_misses.fetch_add(1, std::memory_order_relaxed);
   RETURN_IF_ERROR(Fault(ts, table_id, page, meta));
-  PolicyInsert(table_id, page, meta);
+  ClockTouch(table_id, page, meta);
   return OkStatus();
 }
 
@@ -341,7 +338,7 @@ void PageCache::OnMutation(uint32_t table_id, uint64_t page, int64_t byte_delta)
   TableState& ts = tables_[table_id];
   auto [it, inserted] = ts.pages.try_emplace(page);
   PageMeta& meta = it->second;
-  if (inserted) PolicyInsert(table_id, page, meta);
+  if (inserted) ClockTouch(table_id, page, meta);
   meta.dirty = true;
   if (byte_delta < 0 && meta.bytes < static_cast<uint64_t>(-byte_delta)) {
     meta.bytes = 0;  // accounting is approximate; clamp rather than wrap
@@ -359,7 +356,7 @@ void PageCache::PinRow(const std::string& table, RowId id) {
   // RestoreRow claims its intent before the row exists; create the page
   // resident-empty so the pin has something to hold.
   auto [pit, inserted] = ts.pages.try_emplace(PageOf(id));
-  if (inserted) PolicyInsert(it->second, pit->first, pit->second);
+  if (inserted) ClockTouch(it->second, pit->first, pit->second);
   ++pit->second.pins;
 }
 
@@ -392,55 +389,31 @@ std::vector<PageCache::EvictGroup> PageCache::PlanEviction() {
     return &it->second;
   };
 
-  if (options_.policy == CacheOptions::Policy::kClock) {
-    size_t steps = ring_.size() * 2 + 8;
-    while (freed < need && steps-- > 0 && !ring_.empty()) {
-      auto [tid, page] = ring_.front();
-      ring_.pop_front();
-      PageMeta* meta = classify(tid, page);
-      if (meta == nullptr || !meta->resident) {
-        if (meta != nullptr) meta->in_ring = false;  // stale ring entry
-        continue;
-      }
-      if (meta->bytes == 0) {  // empty page: nothing to free, drop from ring
-        meta->in_ring = false;
-        continue;
-      }
-      if (meta->pins > 0) {
-        ring_.emplace_back(tid, page);
-        continue;
-      }
-      if (meta->ref) {  // second chance
-        meta->ref = false;
-        ring_.emplace_back(tid, page);
-        continue;
-      }
+  size_t steps = ring_.size() * 2 + 8;
+  while (freed < need && steps-- > 0 && !ring_.empty()) {
+    auto [tid, page] = ring_.front();
+    ring_.pop_front();
+    PageMeta* meta = classify(tid, page);
+    if (meta == nullptr || !meta->resident) {
+      if (meta != nullptr) meta->in_ring = false;  // stale ring entry
+      continue;
+    }
+    if (meta->bytes == 0) {  // empty page: nothing to free, drop from ring
       meta->in_ring = false;
-      by_table[tid].push_back(page);
-      freed += meta->bytes;
+      continue;
     }
-  } else {
-    size_t steps = (a1_.size() + am_.size()) * 2 + 8;
-    while (freed < need && steps-- > 0 && !(a1_.empty() && am_.empty())) {
-      const bool from_a1 =
-          !a1_.empty() && (am_.empty() || a1_.size() * 4 > a1_.size() + am_.size());
-      auto& queue = from_a1 ? a1_ : am_;
-      auto [tid, page] = queue.front();
-      queue.pop_front();
-      PageMeta* meta = classify(tid, page);
-      if (meta == nullptr || !meta->resident || meta->bytes == 0) {
-        if (meta != nullptr) meta->queue = 0;
-        continue;
-      }
-      if (meta->pins > 0) {
-        queue.emplace_back(tid, page);
-        meta->qpos = --queue.end();
-        continue;
-      }
-      meta->queue = 0;
-      by_table[tid].push_back(page);
-      freed += meta->bytes;
+    if (meta->pins > 0) {
+      ring_.emplace_back(tid, page);
+      continue;
     }
+    if (meta->ref) {  // second chance
+      meta->ref = false;
+      ring_.emplace_back(tid, page);
+      continue;
+    }
+    meta->in_ring = false;
+    by_table[tid].push_back(page);
+    freed += meta->bytes;
   }
 
   std::vector<EvictGroup> groups;
@@ -461,7 +434,7 @@ void PageCache::Requeue(uint32_t table_id, const std::vector<uint64_t>& pages) {
   for (uint64_t page : pages) {
     auto it = ts.pages.find(page);
     if (it != ts.pages.end() && it->second.resident) {
-      PolicyInsert(table_id, page, it->second);
+      ClockTouch(table_id, page, it->second);
     }
   }
 }
@@ -478,7 +451,7 @@ StatusOr<bool> PageCache::EvictPages(uint32_t table_id,
     PageMeta& meta = it->second;
     if (!meta.resident) continue;
     if (meta.pins > 0 || meta.bytes == 0) {
-      PolicyInsert(table_id, page, meta);  // revalidation failed: keep tracked
+      ClockTouch(table_id, page, meta);  // revalidation failed: keep tracked
       continue;
     }
     victims.push_back(page);
@@ -487,7 +460,7 @@ StatusOr<bool> PageCache::EvictPages(uint32_t table_id,
   if (victims.empty()) return false;
 
   auto requeue_victims = [&] {
-    for (uint64_t page : victims) PolicyInsert(table_id, page, ts.pages[page]);
+    for (uint64_t page : victims) ClockTouch(table_id, page, ts.pages[page]);
   };
 
   if (!dirty.empty()) {
@@ -506,19 +479,15 @@ StatusOr<bool> PageCache::EvictPages(uint32_t table_id,
     const std::vector<uint8_t> raw = payload.Take();
 
     // Inline fail-point evaluation (not the macro): on an injected failure
-    // the victims must return to the eviction policy before we bail, or
+    // the victims must return to the clock ring before we bail, or
     // they would stay resident but untracked.
     Status status = FailPoints::Instance().Check(failpoints::kPagecacheWriteback);
     uint64_t frame_off = 0;
     uint32_t frame_len = 0;
     if (status.ok()) {
-      uint8_t flags = 0;
-      std::vector<uint8_t> compressed;
-      if (options_.compress) {
-        compressed = LzCompress(raw);
-        if (!compressed.empty()) flags |= kFlagCompressed;
-      }
-      const std::vector<uint8_t>& stored = (flags & kFlagCompressed) ? compressed : raw;
+      const std::vector<uint8_t> compressed = LzCompress(raw);
+      const uint8_t flags = compressed.empty() ? 0 : kFlagCompressed;
+      const std::vector<uint8_t>& stored = compressed.empty() ? raw : compressed;
       std::vector<uint8_t> frame;
       frame.reserve(kFrameHeaderSize + stored.size());
       sql::ByteWriter header;
@@ -640,42 +609,11 @@ std::vector<std::string> PageCache::DebugExtentFiles() const {
   return files;
 }
 
-void PageCache::PolicyInsert(uint32_t table_id, uint64_t page, PageMeta& meta) {
-  if (options_.policy == CacheOptions::Policy::kClock) {
-    if (meta.in_ring) {
-      meta.ref = true;
-      return;
-    }
+void PageCache::ClockTouch(uint32_t table_id, uint64_t page, PageMeta& meta) {
+  meta.ref = true;
+  if (!meta.in_ring) {
     meta.in_ring = true;
-    meta.ref = true;
     ring_.emplace_back(table_id, page);
-  } else {
-    if (meta.queue != 0) return;
-    a1_.emplace_back(table_id, page);
-    meta.queue = 1;
-    meta.qpos = --a1_.end();
-  }
-}
-
-void PageCache::PolicyTouch(uint32_t table_id, uint64_t page, PageMeta& meta) {
-  if (options_.policy == CacheOptions::Policy::kClock) {
-    if (meta.in_ring) {
-      meta.ref = true;
-    } else {
-      PolicyInsert(table_id, page, meta);
-    }
-    return;
-  }
-  if (meta.queue == 1) {
-    // Second touch promotes from the A1 FIFO into the Am LRU.
-    a1_.erase(meta.qpos);
-    am_.emplace_back(table_id, page);
-    meta.queue = 2;
-    meta.qpos = --am_.end();
-  } else if (meta.queue == 2) {
-    am_.splice(am_.end(), am_, meta.qpos);
-  } else {
-    PolicyInsert(table_id, page, meta);
   }
 }
 

@@ -4,8 +4,9 @@
 // solved durability, not capacity). The page cache bounds resident row
 // memory: rows are grouped into fixed-size pages by RowId, cold pages are
 // evicted to per-table extent files, and faulted back on access. The design
-// follows the netdata dbengine shape — fixed pages grouped into CRC-framed,
-// optionally-compressed extents — adapted to this engine's row model.
+// follows the netdata dbengine shape — fixed pages grouped into CRC-framed
+// extents, LZ-compressed when that shrinks them — adapted to this engine's
+// row model.
 //
 // Key invariants (docs/DESIGN.md, "Tiered storage and the page cache"):
 //
@@ -38,7 +39,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <map>
 #include <mutex>
 #include <string>
@@ -60,15 +60,11 @@ struct DbStats;
 // resident (the pre-cache behavior, and the in-memory default).
 struct CacheOptions {
   uint64_t max_resident_bytes = 0;
-  // Rows per page is derived as max(1, page_size_bytes / 128): rows are
-  // variable-width, so the page size is a grouping target, not a hard cap.
-  uint32_t page_size_bytes = 4096;
-  enum class Policy { kClock, k2Q };
-  Policy policy = Policy::kClock;
-  // Extent frames are LZ-compressed (greedy LZ4-style byte codec, no
-  // external deps) when that shrinks them; stored raw otherwise.
-  bool compress = true;
 };
+
+// Rows per page: a 4 KiB grouping target at ~128 bytes per row. Rows are
+// variable-width, so the page size is a target, not a hard cap.
+inline constexpr uint32_t kRowsPerPage = 4096 / 128;
 
 // Approximate heap footprint of a value / row, used for resident-byte
 // accounting (32 bytes of per-row overhead approximates the map node).
@@ -89,16 +85,15 @@ class PageCache {
   // belong to a previous process lifetime; canonical data is snapshot+WAL).
   Status Init();
 
-  uint32_t rows_per_page() const { return rows_per_page_; }
-  uint64_t PageOf(RowId id) const { return (id - 1) / rows_per_page_; }
+  static uint64_t PageOf(RowId id) { return (id - 1) / kRowsPerPage; }
 
   // Registers a table and seeds page accounting from its current rows (all
   // resident at registration). Returns the table's cache id. The caller then
-  // hands (this, id, rows_per_page()) to Table::SetPager.
+  // hands (this, id) to Table::SetPager.
   uint32_t RegisterTable(const std::string& name, Table* table);
 
   // Hit/fault path, called by Table for every payload access. Caller holds
-  // the table's stripe (shared or exclusive). Resident: policy touch.
+  // the table's stripe (shared or exclusive). Resident: clock touch.
   // Spilled: reads the page's extent frame and installs the payloads.
   // Missing page metadata is created resident-empty (insert path).
   // kNotFound: extent file missing; kInternal: frame corrupt/truncated.
@@ -119,7 +114,7 @@ class PageCache {
   bool OverBudget() const;
 
   // One eviction round's victims, grouped per table so the evictor can
-  // take each table's stripe once. Victims leave the policy structures;
+  // take each table's stripe once. Victims leave the clock ring;
   // EvictPages (or Requeue, if the stripe was busy) re-settles them.
   struct EvictGroup {
     std::string table;
@@ -134,7 +129,7 @@ class PageCache {
   // EXCLUSIVELY. Fail-point: pagecache.writeback (before the frame write).
   StatusOr<bool> EvictPages(uint32_t table_id, const std::vector<uint64_t>& pages);
 
-  // Returns planned-but-skipped victims to the eviction policy.
+  // Returns planned-but-skipped victims to the clock ring.
   void Requeue(uint32_t table_id, const std::vector<uint64_t>& pages);
 
   // Copies a table's full row map, reading spilled pages THROUGH the extent
@@ -165,12 +160,9 @@ class PageCache {
     uint64_t bytes = 0;  // payload bytes while resident (kept across spill)
     uint64_t frame_off = 0;
     uint32_t frame_len = 0;
-    // Policy state. Clock: membership in the ring + reference bit. 2Q:
-    // which queue (0 = none, 1 = A1 FIFO, 2 = Am LRU) + position.
+    // Clock state: membership in the ring + reference bit.
     bool in_ring = false;
     bool ref = false;
-    uint8_t queue = 0;
-    std::list<std::pair<uint32_t, uint64_t>>::iterator qpos;
   };
 
   struct TableState {
@@ -187,15 +179,14 @@ class PageCache {
   // All private helpers assume mu_ is held.
   Status Fault(TableState& ts, uint32_t table_id, uint64_t page, PageMeta& meta);
   Status ReadFrame(uint32_t table_id, uint64_t off, uint32_t len, FramePages* pages);
-  void PolicyInsert(uint32_t table_id, uint64_t page, PageMeta& meta);
-  void PolicyTouch(uint32_t table_id, uint64_t page, PageMeta& meta);
+  // Sets the page's reference bit, adding it to the clock ring if untracked.
+  void ClockTouch(uint32_t table_id, uint64_t page, PageMeta& meta);
   void AddResident(int64_t delta);
   std::string ExtentPath(uint32_t table_id) const;
 
   const CacheOptions options_;
   const std::string dir_;
   DbStats* const stats_;
-  const uint32_t rows_per_page_;
 
   mutable std::mutex mu_;  // leaf: below stripes, never nested with txn/intents/plan
   std::vector<TableState> tables_;
@@ -205,12 +196,8 @@ class PageCache {
   Status sticky_ = OkStatus();
 
   // Clock: a queue of page keys; PlanEviction pops, second-chances ref'd
-  // pages, and emits unpinned cold pages as victims. 2Q (simplified): A1
-  // FIFO for once-touched pages, Am LRU for re-touched pages; victims come
-  // from A1 while it holds >25% of tracked pages, else from Am's front.
+  // pages, and emits unpinned cold pages as victims.
   std::deque<std::pair<uint32_t, uint64_t>> ring_;
-  std::list<std::pair<uint32_t, uint64_t>> a1_;
-  std::list<std::pair<uint32_t, uint64_t>> am_;
 };
 
 // LZ4-style greedy byte compressor used for extent frames (exposed for the

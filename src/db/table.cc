@@ -184,7 +184,6 @@ StatusOr<RowId> Table::Insert(Row row) {
   IndexInsert(id, row);
   const uint64_t bytes = pager_ == nullptr ? 0 : ApproxRowBytes(row);
   rows_.emplace(id, std::move(row));
-  col_store_->Invalidate(id);
   if (pager_ != nullptr) {
     pager_->OnMutation(table_id_, PageOf(id), static_cast<int64_t>(bytes));
   }
@@ -218,7 +217,6 @@ Status Table::InsertWithId(RowId id, Row row) {
   IndexInsert(id, row);
   const uint64_t bytes = pager_ == nullptr ? 0 : ApproxRowBytes(row);
   rows_.emplace(id, std::move(row));
-  col_store_->Invalidate(id);
   if (pager_ != nullptr) {
     pager_->OnMutation(table_id_, PageOf(id), static_cast<int64_t>(bytes));
   }
@@ -260,7 +258,6 @@ StatusOr<Row> Table::Erase(RowId id) {
   pk_index_.erase(ExtractPk(row));
   IndexErase(id, row);
   rows_.erase(it);
-  col_store_->Invalidate(id);
   if (pager_ != nullptr) {
     pager_->OnMutation(table_id_, PageOf(id), -static_cast<int64_t>(ApproxRowBytes(row)));
   }
@@ -295,8 +292,6 @@ StatusOr<sql::Value> Table::UpdateColumn(RowId id, size_t col_idx, sql::Value va
                               static_cast<int64_t>(ApproxValueBytes(old));
   if (old.SqlEquals(value) && old.is_null() == value.is_null()) {
     row[col_idx] = std::move(value);
-    // Still a representation change (e.g. 1 -> 1.0); the slab copy is stale.
-    col_store_->Invalidate(id);
     if (pager_ != nullptr) pager_->OnMutation(table_id_, PageOf(id), byte_delta);
     return old;
   }
@@ -351,7 +346,6 @@ StatusOr<sql::Value> Table::UpdateColumn(RowId id, size_t col_idx, sql::Value va
   }
 
   row[col_idx] = std::move(value);
-  col_store_->Invalidate(id);
   if (pager_ != nullptr) pager_->OnMutation(table_id_, PageOf(id), byte_delta);
   return old;
 }
@@ -380,7 +374,6 @@ Status Table::UpdateRow(RowId id, Row new_row) {
   pk_index_.emplace(new_key, id);
   IndexInsert(id, new_row);
   row = std::move(new_row);
-  col_store_->Invalidate(id);
   if (pager_ != nullptr) pager_->OnMutation(table_id_, PageOf(id), byte_delta);
   return OkStatus();
 }
@@ -547,7 +540,6 @@ Status Table::AddColumn(ColumnDef col, const sql::Value& fill) {
   }
   RETURN_IF_ERROR(EnsureAllResident());
   schema_.AddColumn(std::move(col));
-  col_store_->InvalidateAll();  // every slab's column count is now stale
   const int64_t fill_bytes =
       pager_ == nullptr ? 0 : static_cast<int64_t>(ApproxValueBytes(fill));
   for (auto& [id, row] : rows_) {
@@ -674,10 +666,9 @@ Status Table::CheckIndexConsistency() const {
   return OkStatus();
 }
 
-void Table::SetPager(PageCache* pager, uint32_t table_id, uint32_t rows_per_page) {
+void Table::SetPager(PageCache* pager, uint32_t table_id) {
   pager_ = pager;
   table_id_ = table_id;
-  rows_per_page_ = std::max<uint32_t>(1, rows_per_page);
 }
 
 Status Table::EnsureRowResident(RowId id) const {
@@ -699,27 +690,24 @@ Status Table::EnsureAllResident() const {
 
 void Table::CollectPageRows(uint64_t page,
                             std::vector<std::pair<RowId, const Row*>>* out) const {
-  const RowId first = page * rows_per_page_ + 1;
-  const RowId last = first + rows_per_page_ - 1;
+  const RowId first = page * kRowsPerPage + 1;
+  const RowId last = first + kRowsPerPage - 1;
   for (auto it = rows_.lower_bound(first); it != rows_.end() && it->first <= last; ++it) {
     out->emplace_back(it->first, &it->second);
   }
 }
 
 void Table::DropPageRows(uint64_t page) {
-  const RowId first = page * rows_per_page_ + 1;
-  const RowId last = first + rows_per_page_ - 1;
+  const RowId first = page * kRowsPerPage + 1;
+  const RowId last = first + kRowsPerPage - 1;
   for (auto it = rows_.lower_bound(first); it != rows_.end() && it->first <= last; ++it) {
     Row().swap(it->second);  // swap releases the heap allocation, clear() keeps it
   }
-  // Slab copies of the evicted range go with it — keeping them would defeat
-  // the cache's memory bound (eviction holds the stripe exclusively).
-  col_store_->InvalidateRange(first, last);
 }
 
 Status Table::InstallPageRows(uint64_t page, std::vector<std::pair<RowId, Row>>* rows) {
-  const RowId first = page * rows_per_page_ + 1;
-  const RowId last = first + rows_per_page_ - 1;
+  const RowId first = page * kRowsPerPage + 1;
+  const RowId last = first + kRowsPerPage - 1;
   // Validate before mutating: the frame must hold exactly the page's live
   // ids (a spilled page's id set cannot change — mutators fault first), with
   // schema-width payloads. Frames store rows in ascending id order.
@@ -743,67 +731,6 @@ Status Table::InstallPageRows(uint64_t page, std::vector<std::pair<RowId, Row>>*
   for (auto it = rows_.lower_bound(first); it != rows_.end() && it->first <= last;
        ++it, ++src) {
     it->second = std::move(src->second);
-  }
-  return OkStatus();
-}
-
-size_t Table::NumColumnSlabs() const {
-  return next_row_id_ <= 1 ? 0 : ColumnStore::SlabIndexOf(next_row_id_ - 1) + 1;
-}
-
-StatusOr<const ColumnSlab*> Table::GetColumnSlab(size_t index) const {
-  Status error = OkStatus();
-  const ColumnSlab* slab = col_store_->Acquire(
-      index, [this, index](ColumnSlab* out) { return BuildColumnSlab(index, out); },
-      &error);
-  if (slab == nullptr) {
-    return error;
-  }
-  return slab;
-}
-
-Status Table::BuildColumnSlab(size_t index, ColumnSlab* out) const {
-  const RowId first = static_cast<RowId>(index) * sql::kChunkLanes + 1;
-  const RowId last = first + sql::kChunkLanes - 1;
-  const size_t width = schema_.num_columns();
-  out->first_row = first;
-
-  // Pass 1: presence. With a pager, fault every covered page in — the slab
-  // must copy real payloads, not spilled empty shells.
-  size_t high = 0;
-  uint64_t current_page = ~uint64_t{0};
-  for (auto it = rows_.lower_bound(first); it != rows_.end() && it->first <= last; ++it) {
-    if (pager_ != nullptr) {
-      const uint64_t page = PageOf(it->first);
-      if (page != current_page) {
-        current_page = page;
-        RETURN_IF_ERROR(pager_->Access(table_id_, page));
-      }
-    }
-    const size_t lane = static_cast<size_t>(it->first - first);
-    out->present[lane >> 6] |= uint64_t{1} << (lane & 63);
-    high = lane + 1;
-    ++out->live_rows;
-  }
-  out->lanes = high;
-  out->columns.assign(width, {});
-  out->nulls.assign(width, {});
-  for (size_t c = 0; c < width; ++c) {
-    out->columns[c].assign(high, sql::Value::Null());
-  }
-
-  // Pass 2: transpose. NULL values stay as the default-constructed Null and
-  // set the column's null bit.
-  for (auto it = rows_.lower_bound(first); it != rows_.end() && it->first <= last; ++it) {
-    const size_t lane = static_cast<size_t>(it->first - first);
-    const Row& row = it->second;
-    for (size_t c = 0; c < width; ++c) {
-      if (row[c].is_null()) {
-        out->nulls[c][lane >> 6] |= uint64_t{1} << (lane & 63);
-      } else {
-        out->columns[c][lane] = row[c];
-      }
-    }
   }
   return OkStatus();
 }

@@ -9,20 +9,17 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/db/column_store.h"
+#include "src/db/pagecache.h"
 #include "src/db/row.h"
 #include "src/db/schema.h"
 
 namespace edna::db {
-
-class PageCache;
 
 // Composite primary-key value with lexicographic ordering.
 struct PkKey {
@@ -143,9 +140,9 @@ class Table {
   // frame is always an exact image of its live rows.
 
   // Attaches the pager (once, before concurrent use; Database attach path).
-  void SetPager(PageCache* pager, uint32_t table_id, uint32_t rows_per_page);
+  void SetPager(PageCache* pager, uint32_t table_id);
   bool has_pager() const { return pager_ != nullptr; }
-  uint64_t PageOf(RowId id) const { return (id - 1) / rows_per_page_; }
+  static uint64_t PageOf(RowId id) { return PageCache::PageOf(id); }
 
   // Faults the row's page / every spilled page back in.
   Status EnsureRowResident(RowId id) const;
@@ -160,45 +157,19 @@ class Table {
   Status InstallPageRows(uint64_t page, std::vector<std::pair<RowId, Row>>* rows);
   const std::map<RowId, Row>& RawRows() const { return rows_; }
 
-  // ---- Column-major sidecar (src/db/column_store.h) ----
-  //
-  // Transposed slab copies of kChunkLanes-row ranges, built lazily for
-  // vectorized full scans and invalidated by every mutation of their range
-  // (and by page eviction). Callers hold at least a shared stripe lock; the
-  // returned slab stays valid for the rest of the statement.
-
-  // Slab count covering every RowId ever assigned (trailing slabs may be
-  // entirely empty after mass deletions; their `present` bitmap is zero).
-  size_t NumColumnSlabs() const;
-
-  // The slab at `index`, rebuilt if stale. With a pager attached the rebuild
-  // faults the covered pages in; a fault failure propagates (unlike Find,
-  // there is a status channel here — nothing goes sticky).
-  StatusOr<const ColumnSlab*> GetColumnSlab(size_t index) const;
-
-  // Rebuild counter passthrough (coherence tests).
-  uint64_t ColumnSlabRebuilds() const { return col_store_->rebuilds(); }
-
  private:
   Status ValidateRowShape(const Row& row) const;
   void IndexInsert(RowId id, const Row& row);
   void IndexErase(RowId id, const Row& row);
-  Status BuildColumnSlab(size_t index, ColumnSlab* out) const;
 
   TableSchema schema_;
   std::map<RowId, Row> rows_;  // ordered so scans are deterministic
   RowId next_row_id_ = 1;
   int64_t auto_counter_ = 0;
 
-  // Sidecar behind a pointer: ColumnStore holds a mutex, and Table must stay
-  // movable. Never null after construction; Clone() starts the copy with a
-  // fresh (all-stale) store.
-  std::unique_ptr<ColumnStore> col_store_ = std::make_unique<ColumnStore>();
-
   // Page cache attachment (null = fully resident, the default).
   PageCache* pager_ = nullptr;
   uint32_t table_id_ = 0;
-  uint32_t rows_per_page_ = 1;
 
   std::map<PkKey, RowId> pk_index_;
   // value -> row ids (non-NULL values only).

@@ -322,8 +322,11 @@ void CompiledPredicate::ClassifyRegisters() {
   truth_class_.assign(num_regs_, 0);
   std::vector<uint8_t> written(num_regs_, 0);
   std::vector<uint8_t> value_written(num_regs_, 0);
+  // AssembleForTest programs may name registers past num_regs_; skip them
+  // here and leave the rejection to VerifyProgram.
+  auto in_range = [this](int reg) { return reg >= 0 && static_cast<size_t>(reg) < num_regs_; };
   for (const Insn& in : code_) {
-    if (in.dst < 0 || in.op == Op::kFail) {
+    if (!in_range(in.dst) || in.op == Op::kFail) {
       continue;
     }
     bool truth_write = in.op == Op::kTruth || in.op == Op::kAndCombine ||
@@ -333,7 +336,7 @@ void CompiledPredicate::ClassifyRegisters() {
       value_written[in.dst] = 1;
     }
     // kInInit/kInStep also write their saw_null flag register (b).
-    if ((in.op == Op::kInInit || in.op == Op::kInStep) && in.b >= 0) {
+    if ((in.op == Op::kInInit || in.op == Op::kInStep) && in_range(in.b)) {
       written[in.b] = 1;
       value_written[in.b] = 1;
     }
@@ -341,18 +344,6 @@ void CompiledPredicate::ClassifyRegisters() {
   for (size_t r = 0; r < num_regs_; ++r) {
     truth_class_[r] = written[r] && !value_written[r];
   }
-}
-
-std::vector<size_t> CompiledPredicate::ReferencedColumns() const {
-  std::vector<size_t> cols;
-  for (const Insn& in : code_) {
-    if (in.op == Op::kColumn) {
-      cols.push_back(static_cast<size_t>(in.a));
-    }
-  }
-  std::sort(cols.begin(), cols.end());
-  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-  return cols;
 }
 
 // --- Execution ---------------------------------------------------------------
@@ -620,9 +611,7 @@ void CompiledPredicate::RunChunk(const RowChunk& chunk, const BoundParams& param
   std::vector<uint32_t>& sel = s->sel;
   sel.clear();
   for (uint32_t lane = 0; lane < lanes; ++lane) {
-    if (chunk.active == nullptr || ((chunk.active[lane >> 6] >> (lane & 63)) & 1)) {
-      sel.push_back(lane);
-    }
+    sel.push_back(lane);
   }
   s->lanes_evaluated = sel.size();
 
@@ -716,7 +705,7 @@ void CompiledPredicate::RunChunk(const RowChunk& chunk, const BoundParams& param
           break;
         }
         for (uint32_t lane : sel) {
-          s->vals[in.dst][lane] = chunk.At(lane, in.a);
+          s->vals[in.dst][lane] = chunk.rows[lane][in.a];
         }
         break;
       case Op::kParam:

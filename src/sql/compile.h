@@ -35,8 +35,7 @@ namespace edna::sql {
 
 // Lane count of one evaluation chunk: compiled programs can run one
 // instruction across up to this many rows at a time (EvalChunk/MatchChunk
-// below), and the columnar sidecar in src/db slices tables into slabs of
-// this many row slots.
+// below).
 constexpr size_t kChunkLanes = 1024;
 constexpr size_t kChunkWords = kChunkLanes / 64;
 
@@ -66,24 +65,12 @@ struct EvalScratch {
   std::vector<Value> regs;
 };
 
-// One chunk of rows for batched evaluation, in either of two layouts:
-//   - row-pointer form (`rows`): rows[lane] points at `row_width` positional
-//     Values — how probe candidates are gathered out of row storage;
-//   - columnar form (`columns`): columns[ord] points at `lanes` Values of
-//     one column — how the sidecar's column slabs are scanned in place.
-// `active`, when set, is a lane bitmap restricting evaluation to set lanes
-// (a slab's present bitmap: slots whose row exists). Inactive lanes are
-// never read, never evaluated, and never match.
+// One chunk of rows for batched evaluation: rows[lane] points at
+// `row_width` positional Values (candidate rows gathered out of row storage).
 struct RowChunk {
   size_t lanes = 0;
   size_t row_width = 0;
   const Value* const* rows = nullptr;
-  const Value* const* columns = nullptr;
-  const uint64_t* active = nullptr;
-
-  const Value& At(size_t lane, size_t col) const {
-    return rows != nullptr ? rows[lane][col] : columns[col][lane];
-  }
 };
 
 // Reusable per-thread state for chunked evaluation: the vectorized register
@@ -167,7 +154,9 @@ class CompiledPredicate {
   BoundParams BindParams(const ParamMap& params) const;
 
   // Evaluates against one row (positional values, `row_width` columns).
-  // Result may be Null (UNKNOWN).
+  // Result may be Null (UNKNOWN). EvalRow and Matches are the one-row
+  // reference forms the batched forms below are tested against; the
+  // database runs MatchChunk.
   StatusOr<Value> EvalRow(const Value* row, size_t row_width, const BoundParams& params,
                           EvalScratch* scratch) const;
 
@@ -194,14 +183,9 @@ class CompiledPredicate {
                     ChunkScratch* scratch) const;
 
   // Differential-oracle form: per-lane value-or-error, element i holding
-  // exactly what EvalRow would return for row i. Lanes masked off by
-  // chunk.active are left as OK/Null.
+  // exactly what EvalRow would return for row i.
   void EvalChunk(const RowChunk& chunk, const BoundParams& params, ChunkScratch* scratch,
                  std::vector<StatusOr<Value>>* out) const;
-
-  // Sorted, de-duplicated column ordinals the program reads (kColumn), so
-  // planners can materialize only the referenced columns of a chunk.
-  std::vector<size_t> ReferencedColumns() const;
 
   size_t num_instructions() const { return code_.size(); }
   size_t num_registers() const { return num_regs_; }

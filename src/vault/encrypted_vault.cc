@@ -46,10 +46,8 @@ StatusOr<std::vector<uint8_t>> EncryptedVault::KeyFor(const sql::Value& uid) {
   return key;
 }
 
-Status EncryptedVault::Store(const RevealRecord& record) {
-  EDNA_FAIL_POINT(failpoints::kVaultStore);
-  std::lock_guard<std::mutex> lock(mu_);
-  ASSIGN_OR_RETURN(std::vector<uint8_t> key, KeyFor(record.user_id));
+void EncryptedVault::SealAndAppend(const RevealRecord& record,
+                                   const crypto::SealKeys& keys) {
   Entry e;
   e.disguise_id = record.disguise_id;
   e.user_id = record.user_id;
@@ -60,18 +58,22 @@ Status EncryptedVault::Store(const RevealRecord& record) {
   // Owner + disguise id are authenticated-but-visible metadata: the vault
   // must route records without decrypting them.
   std::string aad = RenderOwner(e.user_id) + "#" + std::to_string(e.disguise_id);
-  e.box = crypto::Seal(key, nonce, record.Serialize(), aad);
+  e.box = crypto::SealWith(keys, nonce, record.Serialize(), aad);
   ++stats_.crypto_ops;
   ++stats_.stores;
   stats_.bytes_stored += e.box.ciphertext.size() + e.box.nonce.size() + e.box.mac.size();
   entries_.push_back(std::move(e));
+}
+
+Status EncryptedVault::Store(const RevealRecord& record) {
+  EDNA_FAIL_POINT(failpoints::kVaultStore);
+  std::lock_guard<std::mutex> lock(mu_);
+  ASSIGN_OR_RETURN(std::vector<uint8_t> key, KeyFor(record.user_id));
+  SealAndAppend(record, crypto::DeriveSealKeys(key));
   return OkStatus();
 }
 
 Status EncryptedVault::StoreBatch(const std::vector<RevealRecord>& records) {
-  if (!batched_crypto_) {
-    return Vault::StoreBatch(records);
-  }
   std::lock_guard<std::mutex> lock(mu_);
   // Seal keys derived once per distinct owner key across the batch. Keyed by
   // the raw key bytes (not the owner) so a KeyProvider that rotates keys
@@ -87,19 +89,7 @@ Status EncryptedVault::StoreBatch(const std::vector<RevealRecord>& records) {
     if (inserted) {
       it->second = crypto::DeriveSealKeys(key);
     }
-    Entry e;
-    e.disguise_id = record.disguise_id;
-    e.user_id = record.user_id;
-    e.created = record.created;
-    crypto::ChaChaNonce nonce{};
-    std::vector<uint8_t> nbytes = rng_.NextBytes(nonce.size());
-    std::copy(nbytes.begin(), nbytes.end(), nonce.begin());
-    std::string aad = RenderOwner(e.user_id) + "#" + std::to_string(e.disguise_id);
-    e.box = crypto::SealWith(it->second, nonce, record.Serialize(), aad);
-    ++stats_.crypto_ops;
-    ++stats_.stores;
-    stats_.bytes_stored += e.box.ciphertext.size() + e.box.nonce.size() + e.box.mac.size();
-    entries_.push_back(std::move(e));
+    SealAndAppend(record, it->second);
   }
   return OkStatus();
 }
@@ -117,21 +107,18 @@ StatusOr<std::vector<RevealRecord>> EncryptedVault::FetchForUser(const sql::Valu
   ++stats_.fetches;
   std::vector<RevealRecord> out;
   bool any = false;
-  std::vector<uint8_t> key;
   crypto::SealKeys keys;
   for (const Entry& e : entries_) {
     if (e.user_id.is_null() || uid.is_null() || !e.user_id.SqlEquals(uid)) {
       continue;
     }
     if (!any) {
-      ASSIGN_OR_RETURN(key, KeyFor(uid));  // one approval per fetch, not per record
-      if (batched_crypto_) {
-        keys = crypto::DeriveSealKeys(key);  // ...and one subkey split per fetch
-      }
+      // One approval and one subkey split per fetch, not per record.
+      ASSIGN_OR_RETURN(std::vector<uint8_t> key, KeyFor(uid));
+      keys = crypto::DeriveSealKeys(key);
       any = true;
     }
-    ASSIGN_OR_RETURN(RevealRecord rec,
-                     OpenEntry(e, batched_crypto_ ? keys : crypto::DeriveSealKeys(key)));
+    ASSIGN_OR_RETURN(RevealRecord rec, OpenEntry(e, keys));
     out.push_back(std::move(rec));
     ++stats_.records_fetched;
   }
@@ -148,17 +135,12 @@ StatusOr<std::vector<RevealRecord>> EncryptedVault::FetchForDisguise(uint64_t di
       continue;
     }
     ASSIGN_OR_RETURN(std::vector<uint8_t> key, KeyFor(e.user_id));
-    if (batched_crypto_) {
-      auto [it, inserted] = derived.try_emplace(key);
-      if (inserted) {
-        it->second = crypto::DeriveSealKeys(key);
-      }
-      ASSIGN_OR_RETURN(RevealRecord rec, OpenEntry(e, it->second));
-      out.push_back(std::move(rec));
-    } else {
-      ASSIGN_OR_RETURN(RevealRecord rec, OpenEntry(e, crypto::DeriveSealKeys(key)));
-      out.push_back(std::move(rec));
+    auto [it, inserted] = derived.try_emplace(key);
+    if (inserted) {
+      it->second = crypto::DeriveSealKeys(key);
     }
+    ASSIGN_OR_RETURN(RevealRecord rec, OpenEntry(e, it->second));
+    out.push_back(std::move(rec));
     ++stats_.records_fetched;
   }
   return out;
@@ -174,13 +156,11 @@ StatusOr<std::vector<RevealRecord>> EncryptedVault::FetchGlobal() {
     if (!e.user_id.is_null()) {
       continue;
     }
-    if (batched_crypto_ && !have_keys) {
+    if (!have_keys) {
       app_keys = crypto::DeriveSealKeys(app_key_);
       have_keys = true;
     }
-    ASSIGN_OR_RETURN(
-        RevealRecord rec,
-        OpenEntry(e, batched_crypto_ ? app_keys : crypto::DeriveSealKeys(app_key_)));
+    ASSIGN_OR_RETURN(RevealRecord rec, OpenEntry(e, app_keys));
     out.push_back(std::move(rec));
     ++stats_.records_fetched;
   }

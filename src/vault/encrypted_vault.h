@@ -39,15 +39,9 @@ class EncryptedVault : public Vault {
   void RegisterUser(const sql::Value& uid, const std::string& fingerprint);
   const std::string* FindFingerprint(const sql::Value& uid) const;
 
-  // When true (the default), fetch loops and StoreBatch derive the enc/MAC
-  // subkey pair once per owner key and reuse it across records
-  // (crypto::SealKeys); when false every record pays its own two-chain
-  // derivation, matching the pre-batched behavior. Output bytes are
-  // identical either way — the knob exists so the ablation bench can
-  // measure the amortization honestly.
-  void set_batched_crypto(bool on) { batched_crypto_ = on; }
-  bool batched_crypto() const { return batched_crypto_; }
-
+  // StoreBatch and the fetch loops derive each owner key's enc/MAC subkey
+  // pair once (crypto::SealKeys) and reuse it across that owner's records.
+  // Output bytes match a Store loop exactly.
   Status Store(const RevealRecord& record) override;
   Status StoreBatch(const std::vector<RevealRecord>& records) override;
   StatusOr<std::vector<RevealRecord>> FetchForUser(const sql::Value& uid) override;
@@ -71,12 +65,14 @@ class EncryptedVault : public Vault {
 
   StatusOr<std::vector<uint8_t>> KeyFor(const sql::Value& uid);
   static std::string RenderOwner(const sql::Value& uid);
+  // Seals one record under pre-derived keys and appends it; caller holds mu_
+  // and has run the vault.store fail point and resolved the owner's key.
+  void SealAndAppend(const RevealRecord& record, const crypto::SealKeys& keys);
   StatusOr<RevealRecord> OpenEntry(const Entry& e, const crypto::SealKeys& keys);
   const std::string* FindFingerprintLocked(const sql::Value& uid) const;
 
   std::vector<uint8_t> app_key_;
   KeyProvider keys_;
-  bool batched_crypto_ = true;
   // One mutex guards entries_, fingerprints_, and the nonce rng. Crypto runs
   // under the lock: this backend models the per-user-approval deployment and
   // is not on the parallel-batch fast path (OfflineVault is); the KeyProvider

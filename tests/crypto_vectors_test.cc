@@ -7,15 +7,14 @@
 //   - HMAC-SHA-256 (the repo's MAC, standing in for Poly1305 in the
 //     encrypt-then-MAC construction) against RFC 4231,
 //   - SHA-256 against the FIPS 180-4 / NIST CAVP short+long messages.
-// Plus batching equivalence: the multi-block keystream path, SealWith /
-// SealBatch, and OpenWith must be byte-identical to their one-shot forms.
+// Plus batching equivalence: the multi-block keystream path, SealWith and
+// OpenWith must be byte-identical to their one-shot forms.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/crypto/aead.h"
 #include "src/crypto/chacha20.h"
 #include "src/crypto/hmac.h"
@@ -238,36 +237,6 @@ TEST(AeadBatch, SealWithMatchesSealByteForByte) {
   b.ciphertext[0] ^= 1;
   EXPECT_FALSE(OpenWith(keys, b, "owner#7").ok());
   EXPECT_FALSE(OpenWith(keys, a, "other#7").ok());
-}
-
-TEST(AeadBatch, SealBatchMatchesSealLoop) {
-  std::vector<uint8_t> master(32, 0x17);
-  SealKeys keys = DeriveSealKeys(master);
-  Rng rng(0xfeed);
-  std::vector<std::vector<uint8_t>> plains;
-  std::vector<ChaChaNonce> nonces;
-  std::vector<std::string> aads;
-  for (int i = 0; i < 9; ++i) {
-    plains.push_back(rng.NextBytes(1 + 97 * i));
-    ChaChaNonce n{};
-    std::vector<uint8_t> nb = rng.NextBytes(n.size());
-    std::copy(nb.begin(), nb.end(), n.begin());
-    nonces.push_back(n);
-    aads.push_back("user" + std::to_string(i) + "#42");
-  }
-  std::vector<SealItem> items;
-  for (size_t i = 0; i < plains.size(); ++i) {
-    items.push_back({nonces[i], &plains[i], aads[i]});
-  }
-  std::vector<SealedBox> batch = SealBatch(keys, items);
-  ASSERT_EQ(batch.size(), plains.size());
-  for (size_t i = 0; i < plains.size(); ++i) {
-    SealedBox lone = Seal(master, nonces[i], plains[i], aads[i]);
-    EXPECT_EQ(batch[i].Serialize(), lone.Serialize()) << "item " << i;
-    auto opened = OpenWith(keys, batch[i], aads[i]);
-    ASSERT_TRUE(opened.ok()) << "item " << i;
-    EXPECT_EQ(*opened, plains[i]);
-  }
 }
 
 }  // namespace

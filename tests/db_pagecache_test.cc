@@ -31,6 +31,7 @@
 #include "src/db/database.h"
 #include "src/db/durable.h"
 #include "src/sql/parser.h"
+#include "tests/reference_oracle.h"
 
 namespace edna::db {
 namespace {
@@ -138,12 +139,10 @@ void Settle(Database* db) {
   }
 }
 
-RunResult RunDurableWorkload(const std::string& dir, uint64_t budget,
-                             CacheOptions::Policy policy) {
+RunResult RunDurableWorkload(const std::string& dir, uint64_t budget) {
   RunResult r;
   DurableOptions opts;
   opts.cache.max_resident_bytes = budget;
-  opts.cache.policy = policy;
   DurableOpenReport report;
   auto opened = DurableDatabase::Open(dir, opts, &report);
   EXPECT_TRUE(opened.ok()) << opened.status();
@@ -178,11 +177,9 @@ std::string ReopenAndDump(const std::string& dir, uint64_t budget) {
 constexpr uint64_t kUnboundedBudget = 1ull << 30;  // 1 GiB: never evicts
 
 TEST(PageCachePropertyTest, VectorizedScanSurvivesEvictionAndMatchesRowMode) {
-  // The column sidecar must stay coherent with eviction: DropPageRows
-  // invalidates the covering slabs, and a vectorized rebuild faults spilled
-  // pages back in. Under a one-byte budget every statement boundary evicts,
-  // so each scan rebuilds from spilled extents — and must still return
-  // exactly the rows the row-at-a-time loop does.
+  // Under a one-byte budget every statement boundary evicts, so each scan
+  // gathers its chunks from pages faulted back in from spilled extents — and
+  // must still return exactly the rows a row-by-row reference filter does.
   TempDir tmp;
   DurableOptions opts;
   opts.cache.max_resident_bytes = 1;  // always over budget: everything spills
@@ -196,35 +193,28 @@ TEST(PageCachePropertyTest, VectorizedScanSurvivesEvictionAndMatchesRowMode) {
 
   auto pred = sql::ParseExpression("\"num\" >= 0 AND \"payload\" <> ''");
   ASSERT_TRUE(pred.ok()) << pred.status();
-  auto ids_in_mode = [&](ExecMode mode) {
-    db->SetExecMode(mode);
-    auto rows = db->Select("items", pred->get(), {});
-    EXPECT_TRUE(rows.ok()) << rows.status();
-    std::vector<RowId> ids;
-    for (const RowRef& ref : *rows) {
-      ids.push_back(ref.id);
-    }
-    return ids;
-  };
-  std::vector<RowId> row_ids = ids_in_mode(ExecMode::kRowAtATime);
-  std::vector<RowId> vec_ids = ids_in_mode(ExecMode::kVectorized);
-  ASSERT_FALSE(row_ids.empty());
-  EXPECT_EQ(row_ids, vec_ids);
+  auto rows = db->Select("items", pred->get(), {});
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_FALSE(rows->empty());
+  const RowId first = rows->front().id;
+  const size_t matched = rows->size();
+  Settle(db);
+  EXPECT_TRUE(oracle::SelectMatchesReference(*db, "items", **pred, {}));
+  EXPECT_GT(db->stats().chunks_scanned.load(), 0u);
 
-  // A mutation between vectorized scans (with its own eviction round at the
-  // statement boundary) must be visible to the next rebuild.
-  ASSERT_TRUE(db->SetColumn("items", row_ids[0], "num", Value::Int(-1000)).ok());
-  db->SetExecMode(ExecMode::kVectorized);
+  // A mutation between scans (with its own eviction round at the statement
+  // boundary) must be visible to the next scan.
+  ASSERT_TRUE(db->SetColumn("items", first, "num", Value::Int(-1000)).ok());
   auto after = db->Select("items", pred->get(), {});
   ASSERT_TRUE(after.ok()) << after.status();
-  EXPECT_EQ(after->size(), row_ids.size() - 1);
-  EXPECT_GT(db->stats().chunks_scanned.load(), 0u);
+  EXPECT_EQ(after->size(), matched - 1);
+  Settle(db);
+  EXPECT_TRUE(oracle::SelectMatchesReference(*db, "items", **pred, {}));
 }
 
 TEST(PageCachePropertyTest, BudgetSweepIsFingerprintIdenticalAndBounded) {
   TempDir tmp;
-  RunResult unbounded =
-      RunDurableWorkload(tmp.Sub("u"), kUnboundedBudget, CacheOptions::Policy::kClock);
+  RunResult unbounded = RunDurableWorkload(tmp.Sub("u"), kUnboundedBudget);
   ASSERT_FALSE(unbounded.dump.empty());
   ASSERT_GT(unbounded.footprint, 0u);
   EXPECT_EQ(unbounded.evictions, 0u) << "a 1 GiB budget must never evict";
@@ -234,18 +224,16 @@ TEST(PageCachePropertyTest, BudgetSweepIsFingerprintIdenticalAndBounded) {
   struct Leg {
     const char* name;
     uint64_t budget;
-    CacheOptions::Policy policy;
   };
   const Leg legs[] = {
-      {"half", footprint / 2, CacheOptions::Policy::kClock},
-      {"tenth", footprint / 10, CacheOptions::Policy::kClock},
-      {"one-page", 4096, CacheOptions::Policy::kClock},
-      {"tenth-2q", footprint / 10, CacheOptions::Policy::k2Q},
+      {"half", footprint / 2},
+      {"tenth", footprint / 10},
+      {"one-page", 4096},
   };
   for (const Leg& leg : legs) {
     SCOPED_TRACE(leg.name);
     std::string dir = tmp.Sub(leg.name);
-    RunResult bounded = RunDurableWorkload(dir, leg.budget, leg.policy);
+    RunResult bounded = RunDurableWorkload(dir, leg.budget);
     EXPECT_EQ(bounded.dump, unbounded.dump)
         << "bounded run diverged from the unbounded reference";
     EXPECT_GT(bounded.evictions, 0u) << "budget below footprint but nothing evicted";

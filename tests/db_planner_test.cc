@@ -1,12 +1,10 @@
-// Query planner tests (src/db/plan.{h,cc} + Database::MatchRows planned
-// path): index probe selection (equality, IN, range/BETWEEN, IS NULL, OR
-// union, conjunct intersection), plan cache behavior and invalidation, the
-// DbStats counter contract, and ordered-index maintenance under transaction
-// rollback.
+// Query planner tests (src/db/plan.{h,cc} + Database::MatchRows): index
+// probe selection (equality, IN, range/BETWEEN, IS NULL, OR union, conjunct
+// intersection), plan cache behavior and invalidation, the DbStats counter
+// contract, ordered-index maintenance under transaction rollback, and the
+// batched residual evaluator checked against a row-by-row reference.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -14,6 +12,7 @@
 #include "src/sql/compile.h"
 #include "src/sql/parser.h"
 #include "src/sql/verify.h"
+#include "tests/reference_oracle.h"
 
 namespace edna::db {
 namespace {
@@ -27,37 +26,65 @@ sql::ExprPtr Pred(const std::string& text) {
 }
 
 // events: id (PK), user_id (FK-style declared index), score (declared
-// index, ordered), kind (declared index), note (unindexed).
+// index, ordered), kind (declared index), note (unindexed). Row i (RowId
+// i + 1): user_id cycles 1..5 with every 6th NULL; score = i; kind
+// alternates click/view; note = "n<i>".
+void BuildEvents(Database* db, int rows) {
+  TableSchema events("events");
+  events
+      .AddColumn({.name = "id", .type = ColumnType::kInt, .nullable = false,
+                  .auto_increment = true})
+      .AddColumn({.name = "user_id", .type = ColumnType::kInt, .nullable = true})
+      .AddColumn({.name = "score", .type = ColumnType::kInt, .nullable = false})
+      .AddColumn({.name = "kind", .type = ColumnType::kString, .nullable = false})
+      .AddColumn({.name = "note", .type = ColumnType::kString, .nullable = true})
+      .SetPrimaryKey({"id"})
+      .AddIndex("user_id")
+      .AddIndex("score")
+      .AddIndex("kind");
+  ASSERT_TRUE(db->CreateTable(std::move(events)).ok());
+  for (int i = 0; i < rows; ++i) {
+    Value uid = (i % 6 == 5) ? Value::Null() : Value::Int(1 + (i % 5));
+    auto id = db->InsertValues("events", {{"user_id", uid},
+                                          {"score", Value::Int(i)},
+                                          {"kind", Value::String(i % 2 == 0 ? "click" : "view")},
+                                          {"note", Value::String("n" + std::to_string(i))}});
+    ASSERT_TRUE(id.ok()) << id.status();
+  }
+  db->ResetStats();
+}
+
+// Every predicate shape this suite plans: probes with and without residuals,
+// unions, full scans, constants, params, NULL handling.
+const char* const kPlannerCorpus[] = {
+    "\"score\" >= 10 AND \"score\" < 15",
+    "\"score\" BETWEEN 7 AND 9",
+    "\"id\" <= 3",
+    "\"score\" IN (3, 17, 99)",
+    "\"user_id\" = 2 AND \"kind\" = 'click'",
+    "\"user_id\" = 1 OR \"kind\" = 'view'",
+    "\"user_id\" = 1 OR \"note\" = 'n3'",
+    "\"score\" = 4 OR \"user_id\" = 3",
+    "\"user_id\" IS NULL",
+    "\"user_id\" IS NOT NULL",
+    "\"user_id\" IS NOT NULL AND \"score\" > 20",
+    "\"note\" = 'n7'",
+    "TRUE",
+    "1 = 2",
+    "\"user_id\" = $UID",
+    "\"user_id\" = $UID AND \"score\" > $MIN",
+    "NOT (\"kind\" = 'click' AND \"score\" < 10)",
+    "NOT (\"kind\" = 'click') AND \"score\" < 9",
+    "\"kind\" LIKE 'cl%'",
+    "\"kind\" LIKE 'cl%' AND \"user_id\" > 1",
+    "\"kind\" = 'view' AND \"note\" LIKE 'n1%'",
+    "\"score\" IN (3, 17, 99) AND \"note\" <> 'n3'",
+    "\"score\" * 2 >= 40",
+};
+
 class PlannerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    TableSchema events("events");
-    events
-        .AddColumn({.name = "id", .type = ColumnType::kInt, .nullable = false,
-                    .auto_increment = true})
-        .AddColumn({.name = "user_id", .type = ColumnType::kInt, .nullable = true})
-        .AddColumn({.name = "score", .type = ColumnType::kInt, .nullable = false})
-        .AddColumn({.name = "kind", .type = ColumnType::kString, .nullable = false})
-        .AddColumn({.name = "note", .type = ColumnType::kString, .nullable = true})
-        .SetPrimaryKey({"id"})
-        .AddIndex("user_id")
-        .AddIndex("score")
-        .AddIndex("kind");
-    ASSERT_TRUE(db_.CreateTable(std::move(events)).ok());
-
-    // 30 rows: user_id cycles 1..5 with every 6th NULL; score = i;
-    // kind alternates click/view; note unindexed.
-    for (int i = 0; i < 30; ++i) {
-      Value uid = (i % 6 == 5) ? Value::Null() : Value::Int(1 + (i % 5));
-      auto id = db_.InsertValues(
-          "events", {{"user_id", uid},
-                     {"score", Value::Int(i)},
-                     {"kind", Value::String(i % 2 == 0 ? "click" : "view")},
-                     {"note", Value::String("n" + std::to_string(i))}});
-      ASSERT_TRUE(id.ok()) << id.status();
-    }
-    db_.ResetStats();
-  }
+  void SetUp() override { BuildEvents(&db_, 30); }
 
   std::vector<int64_t> SelectScores(const std::string& pred_text,
                                     const sql::ParamMap& params = {}) {
@@ -247,37 +274,6 @@ TEST_F(PlannerTest, DescribePlanNamesTheAccessPath) {
   EXPECT_NE(described->find("scan("), std::string::npos) << *described;
 }
 
-TEST_F(PlannerTest, InterpretedModeMatchesPlannedRows) {
-  const char* preds[] = {
-      "\"score\" >= 10 AND \"score\" < 15",
-      "\"user_id\" = 2 AND \"kind\" = 'click'",
-      "\"score\" IN (3, 17, 99)",
-      "\"user_id\" IS NULL",
-      "\"score\" = 4 OR \"user_id\" = 3",
-      "\"note\" = 'n8'",
-      "TRUE",
-      "\"kind\" = 'view' AND \"note\" LIKE 'n1%'",
-  };
-  for (const char* text : preds) {
-    db_.SetPlannerMode(PlannerMode::kPlanned);
-    auto planned = SelectScores(text);
-    db_.SetPlannerMode(PlannerMode::kInterpreted);
-    auto interpreted = SelectScores(text);
-    db_.SetPlannerMode(PlannerMode::kPlanned);
-    EXPECT_EQ(planned, interpreted) << text;
-  }
-}
-
-TEST_F(PlannerTest, InterpretedModeKeepsLegacyCounters) {
-  db_.SetPlannerMode(PlannerMode::kInterpreted);
-  auto scores = SelectScores("\"score\" >= 10 AND \"score\" < 15");
-  EXPECT_EQ(scores.size(), 5u);
-  // The legacy path has no range support: it scans.
-  EXPECT_EQ(db_.stats().full_scans, 1u);
-  EXPECT_EQ(db_.stats().range_probes, 0u);
-  EXPECT_EQ(db_.stats().plan_cache_misses, 0u);
-}
-
 TEST_F(PlannerTest, UpdateAndDeleteGoThroughThePlanner) {
   auto pred = Pred("\"score\" BETWEEN 20 AND 24");
   std::vector<Assignment> assigns;
@@ -420,24 +416,7 @@ TEST(DbPlannerTest, PlannerCorpusProgramsPassTheStaticChecker) {
     return kLayout[ordinal];
   };
 
-  const char* kCorpus[] = {
-      "\"score\" >= 10 AND \"score\" < 15",
-      "\"score\" BETWEEN 7 AND 9",
-      "\"id\" <= 3",
-      "\"score\" IN (3, 17, 99)",
-      "\"user_id\" = 2 AND \"kind\" = 'click'",
-      "\"user_id\" = 1 OR \"kind\" = 'view'",
-      "\"user_id\" = 1 OR \"note\" = 'n3'",
-      "\"user_id\" IS NULL",
-      "\"user_id\" IS NOT NULL",
-      "\"note\" = 'n7'",
-      "TRUE",
-      "\"user_id\" = $UID",
-      "\"user_id\" = $UID AND \"score\" > $MIN",
-      "NOT (\"kind\" = 'click' AND \"score\" < 10)",
-      "\"kind\" LIKE 'cl%'",
-  };
-  for (const char* text : kCorpus) {
+  for (const char* text : kPlannerCorpus) {
     sql::ExprPtr expr = Pred(text);
     auto program = sql::CompiledPredicate::Compile(*expr, binder);
     ASSERT_TRUE(program.ok()) << text << ": " << program.status();
@@ -451,134 +430,129 @@ TEST(DbPlannerTest, PlannerCorpusProgramsPassTheStaticChecker) {
   }
 }
 
-// --- Vectorized execution ----------------------------------------------------
+// --- Residual evaluation against the reference ------------------------------
 //
-// ExecMode::kVectorized must be fingerprint-identical to the row-at-a-time
-// path: same rows, same order, same first error. These tests run both modes
-// over the same database and compare results directly, then pin the column
-// sidecar's coherence contract (lazy rebuild, invalidate on mutation and
-// rollback) via Table::ColumnSlabRebuilds().
+// Every residual runs through the batched evaluator (row-pointer chunks of
+// sql::kChunkLanes rows). oracle::SelectMatchesReference pits Select against
+// a row-by-row AST interpretation of the same statement: same rows, same
+// order, same first error.
 
-class VectorizedTest : public PlannerTest {
- protected:
-  std::vector<int64_t> ScoresInMode(ExecMode mode, const std::string& pred) {
-    db_.SetExecMode(mode);
-    return SelectScores(pred);
+const sql::ParamMap kCorpusParams = {{"UID", Value::Int(2)}, {"MIN", Value::Int(8)}};
+
+TEST(ReferenceOracleTest, PlannerCorpusMatchesOnTheSmallFixture) {
+  Database db;
+  BuildEvents(&db, 30);
+  for (const char* text : kPlannerCorpus) {
+    EXPECT_TRUE(oracle::SelectMatchesReference(db, "events", *Pred(text), kCorpusParams));
   }
-};
+}
 
-TEST_F(VectorizedTest, AgreesWithRowAtATimeAcrossPredicateShapes) {
-  // Probe + residual, full scans, unions, NULL handling — every access path
-  // MatchRows can take.
-  const char* kPreds[] = {
-      "\"score\" >= 10 AND \"score\" < 15",
-      "\"user_id\" = 2 AND \"kind\" = 'click'",
-      "\"note\" = 'n7'",
-      "\"user_id\" IS NULL",
-      "\"user_id\" IS NOT NULL AND \"score\" > 20",
-      "\"user_id\" = 1 OR \"kind\" = 'view'",
-      "\"score\" IN (3, 17, 99) AND \"note\" <> 'n3'",
-      "\"score\" * 2 >= 40",
-      "NOT (\"kind\" = 'click') AND \"score\" < 9",
-      "\"kind\" LIKE 'cl%' AND \"user_id\" > 1",
+TEST(ReferenceOracleTest, PlannerCorpusMatchesAcrossChunks) {
+  // More than two chunks with a partial tail, so full scans and wide probe
+  // lists gather several chunks and a short last one.
+  constexpr int kRows = 2 * static_cast<int>(sql::kChunkLanes) + 300;
+  Database db;
+  BuildEvents(&db, kRows);
+  for (const char* text : kPlannerCorpus) {
+    EXPECT_TRUE(oracle::SelectMatchesReference(db, "events", *Pred(text), kCorpusParams));
+  }
+  // Shapes whose matches straddle chunk boundaries.
+  const char* kWide[] = {
+      "\"score\" BETWEEN 1000 AND 2100 AND \"note\" LIKE 'n1%'",
+      "\"note\" LIKE '%7'",
+      "\"score\" % 1024 = 1023",
   };
-  for (const char* text : kPreds) {
-    auto row = ScoresInMode(ExecMode::kRowAtATime, text);
-    auto vec = ScoresInMode(ExecMode::kVectorized, text);
-    EXPECT_EQ(row, vec) << text;
+  for (const char* text : kWide) {
+    EXPECT_TRUE(oracle::SelectMatchesReference(db, "events", *Pred(text), {}));
+  }
+  // Runtime errors: the division-by-zero row (score 2100, RowId 2101) sits
+  // in the third chunk, ahead of a modulo-by-zero row in the same chunk, and
+  // the second predicate puts a modulo-by-zero row in the second chunk ahead
+  // of both. Select must stop at the same first error the reference does.
+  const char* kErrors[] = {
+      "100 / (\"score\" - 2100) + 100 % (\"score\" - 2300) >= 0",
+      "100 / (\"score\" - 2100) + 100 % (\"score\" - 1500) >= 0",
+  };
+  for (const char* text : kErrors) {
+    auto pred = Pred(text);
+    EXPECT_FALSE(db.Select("events", pred.get(), {}).ok()) << text;
+    EXPECT_TRUE(oracle::SelectMatchesReference(db, "events", *pred, {}));
   }
 }
 
-TEST_F(VectorizedTest, ReportsTheSameFirstErrorAsTheRowLoop) {
-  // Division by zero fires on the score == 5 row; both modes must surface
-  // the identical status (the vectorized path reports the lowest errored
-  // lane, which is the row loop's first error since chunks run in RowId
-  // order).
-  auto pred = Pred("(100 / (\"score\" - 5)) > 0");
-  db_.SetExecMode(ExecMode::kRowAtATime);
-  auto row = db_.Select("events", pred.get(), {});
-  db_.SetExecMode(ExecMode::kVectorized);
-  auto vec = db_.Select("events", pred.get(), {});
-  ASSERT_FALSE(row.ok());
-  ASSERT_FALSE(vec.ok());
-  EXPECT_EQ(row.status().code(), vec.status().code());
-  EXPECT_EQ(row.status().message(), vec.status().message());
-}
-
-TEST_F(VectorizedTest, VectorCountersMoveOnlyInVectorizedMode) {
-  ScoresInMode(ExecMode::kRowAtATime, "\"note\" <> ''");
-  EXPECT_EQ(db_.stats().chunks_scanned, 0u);
-  EXPECT_EQ(db_.stats().vector_ops, 0u);
-  EXPECT_EQ(db_.stats().vector_lanes, 0u);
-
-  ScoresInMode(ExecMode::kVectorized, "\"note\" <> ''");
-  EXPECT_GE(db_.stats().chunks_scanned, 1u);
-  EXPECT_GT(db_.stats().vector_ops, 0u);
-  EXPECT_EQ(db_.stats().vector_lanes, 30u);  // one lane per live row
-  // Every row matches the predicate: density gauge pegs at 10000 bp.
-  EXPECT_EQ(db_.stats().selection_density_bp, 10000u);
-
-  // A selective scan resets the gauge to its own density (3/30 = 1000 bp).
-  ScoresInMode(ExecMode::kVectorized, "\"score\" * 2 >= 54");
-  EXPECT_EQ(db_.stats().selection_density_bp, 1000u);
-}
-
-TEST_F(VectorizedTest, ColumnSlabsRebuildOnlyAfterMutation) {
-  db_.SetExecMode(ExecMode::kVectorized);
-  const Table* events = db_.FindTable("events");
-  ASSERT_NE(events, nullptr);
-
-  SelectScores("\"note\" <> ''");  // full scan builds the slab
-  const uint64_t first = events->ColumnSlabRebuilds();
-  EXPECT_GE(first, 1u);
-  SelectScores("\"note\" <> ''");
-  SelectScores("\"score\" * 2 >= 40");
-  EXPECT_EQ(events->ColumnSlabRebuilds(), first);  // cached across scans
-
-  ASSERT_TRUE(db_.SetColumn("events", 1, "note", Value::String("edited")).ok());
-  SelectScores("\"note\" <> ''");
-  EXPECT_EQ(events->ColumnSlabRebuilds(), first + 1);  // invalidated, rebuilt once
-}
+// Statements whose plan leaves a residual: the batched evaluator runs it.
+class VectorizedTest : public PlannerTest {};
 
 TEST_F(VectorizedTest, SeesMutationsDeletesAndRollbacks) {
-  db_.SetExecMode(ExecMode::kVectorized);
+  auto matches = [this](const std::string& text) {
+    return oracle::SelectMatchesReference(db_, "events", *Pred(text), {});
+  };
 
   // Update: the row with score 7 carries note "n7" (RowId 8).
   EXPECT_EQ(SelectScores("\"note\" = 'n7'"), (std::vector<int64_t>{7}));
   ASSERT_TRUE(db_.SetColumn("events", 8, "note", Value::String("redone")).ok());
   EXPECT_TRUE(SelectScores("\"note\" = 'n7'").empty());
   EXPECT_EQ(SelectScores("\"note\" = 'redone'"), (std::vector<int64_t>{7}));
+  EXPECT_TRUE(matches("\"note\" = 'redone' OR \"note\" = 'n7'"));
 
   // Delete: the row disappears from the scan.
   ASSERT_TRUE(db_.DeleteRow("events", 8).ok());
   EXPECT_TRUE(SelectScores("\"note\" = 'redone'").empty());
   EXPECT_EQ(SelectScores("\"note\" <> ''").size(), 29u);
+  EXPECT_TRUE(matches("\"note\" <> ''"));
 
-  // Rollback: undo restores the old value and the sidecar must not serve a
-  // slab built from the in-transaction state.
+  // Rollback: undo restores the old value, and the next scan reads it.
   ASSERT_TRUE(db_.Begin().ok());
   ASSERT_TRUE(db_.SetColumn("events", 1, "note", Value::String("in-txn")).ok());
   EXPECT_EQ(SelectScores("\"note\" = 'in-txn'").size(), 1u);
+  EXPECT_TRUE(matches("\"note\" LIKE 'in-%'"));
   ASSERT_TRUE(db_.Rollback().ok());
   EXPECT_TRUE(SelectScores("\"note\" = 'in-txn'").empty());
   EXPECT_EQ(SelectScores("\"note\" = 'n0'").size(), 1u);
+  EXPECT_TRUE(matches("\"note\" LIKE 'in-%' OR \"note\" = 'n0'"));
 }
 
-TEST_F(VectorizedTest, ExecModeEnvKnobDefaultsSafely) {
-  // A fresh database derives its default from EDNA_EXEC_MODE (the CI
-  // vectorized leg runs this suite with it set to "vectorized"; plain
-  // runs leave it unset, which must mean row-at-a-time), and SetExecMode
-  // overrides the environment in either direction.
-  const char* env = std::getenv("EDNA_EXEC_MODE");
-  const ExecMode expected_default =
-      (env != nullptr && std::strcmp(env, "vectorized") == 0)
-          ? ExecMode::kVectorized
-          : ExecMode::kRowAtATime;
-  EXPECT_EQ(db_.exec_mode(), expected_default);
-  db_.SetExecMode(ExecMode::kVectorized);
-  EXPECT_EQ(db_.exec_mode(), ExecMode::kVectorized);
-  db_.SetExecMode(ExecMode::kRowAtATime);
-  EXPECT_EQ(db_.exec_mode(), ExecMode::kRowAtATime);
+TEST_F(VectorizedTest, VectorCountersMoveOnlyOnResidualStatements) {
+  auto counters = [this] {
+    return std::vector<uint64_t>{db_.stats().chunks_scanned.load(),
+                                 db_.stats().vector_ops.load(),
+                                 db_.stats().vector_lanes.load(),
+                                 db_.stats().selection_density_bp.load()};
+  };
+  const std::vector<uint64_t> zero(4, 0);
+
+  // Exact plans, the `col = $param` fast path and constant folds never reach
+  // the residual evaluator.
+  SelectScores("\"user_id\" IS NULL");       // exact probe
+  SelectScores("\"score\" IN (3, 17, 99)");  // exact multi-probe
+  SelectScores("\"score\" = 4 OR \"user_id\" = 3");  // exact union
+  SelectScores("\"user_id\" = $UID", {{"UID", Value::Int(2)}});  // fast path
+  SelectScores("\"kind\" = 'view'");         // fast path, literal
+  SelectScores("TRUE");                        // constant
+  SelectScores("1 = 2");                       // constant
+  EXPECT_EQ(counters(), zero);
+  EXPECT_EQ(db_.stats().rows_examined, 0u);
+
+  // A full scan with a residual: one chunk, one lane per live row, and every
+  // row matches, so the density gauge pegs at 10000 bp.
+  SelectScores("\"note\" <> ''");
+  EXPECT_EQ(db_.stats().chunks_scanned, 1u);
+  EXPECT_GT(db_.stats().vector_ops, 0u);
+  EXPECT_EQ(db_.stats().vector_lanes, 30u);
+  EXPECT_EQ(db_.stats().selection_density_bp, 10000u);
+
+  // A probe with a residual evaluates only the probed candidates, and the
+  // gauge takes that statement's density (3 of the 5 in-range rows match).
+  const uint64_t lanes = db_.stats().vector_lanes.load();
+  SelectScores("\"score\" BETWEEN 10 AND 14 AND \"note\" <> 'n11' AND \"note\" <> 'n12'");
+  EXPECT_EQ(db_.stats().chunks_scanned, 2u);
+  EXPECT_EQ(db_.stats().vector_lanes - lanes, 5u);
+  EXPECT_EQ(db_.stats().selection_density_bp, 6000u);
+
+  // A statement with no residual leaves every counter where it was.
+  const std::vector<uint64_t> before = counters();
+  SelectScores("\"user_id\" = 3");
+  EXPECT_EQ(counters(), before);
 }
 
 }  // namespace

@@ -369,56 +369,25 @@ TEST(SqlCompileFuzzTest, ProgramIsReusableAcrossRows) {
 // The batched evaluator runs one instruction across a whole chunk; these
 // pits it lane-by-lane against the tree interpreter (the original oracle)
 // over random programs and random chunks: 3200 chunk evaluations spanning
-// both chunk layouts (row pointers and transposed columns), active-lane
-// masks, lane counts crossing the 64-lane bitmap word boundary, and dense
+// lane counts that cross the 64-lane bitmap word boundary, and dense
 // full-size chunks that take the word-wise Kleene paths.
 
 struct ChunkCase {
   std::vector<std::vector<Value>> rows;
-  // Row-pointer layout.
   std::vector<const Value*> row_ptrs;
-  // Columnar layout (transposed).
-  std::vector<std::vector<Value>> cols;
-  std::vector<const Value*> col_ptrs;
-  std::vector<uint64_t> active;
   RowChunk chunk;
 
-  ChunkCase(Fuzzer* fuzz, size_t lanes, bool columnar, bool masked) {
+  ChunkCase(Fuzzer* fuzz, size_t lanes) {
     rows.reserve(lanes);
     for (size_t i = 0; i < lanes; ++i) {
       rows.push_back(fuzz->RandomRow());
     }
+    for (const auto& r : rows) {
+      row_ptrs.push_back(r.data());
+    }
     chunk.lanes = lanes;
     chunk.row_width = kColumns.size();
-    if (columnar) {
-      cols.resize(kColumns.size());
-      for (size_t c = 0; c < kColumns.size(); ++c) {
-        cols[c].reserve(lanes);
-        for (size_t i = 0; i < lanes; ++i) {
-          cols[c].push_back(rows[i][c]);
-        }
-        col_ptrs.push_back(cols[c].data());
-      }
-      chunk.columns = col_ptrs.data();
-    } else {
-      for (const auto& r : rows) {
-        row_ptrs.push_back(r.data());
-      }
-      chunk.rows = row_ptrs.data();
-    }
-    if (masked) {
-      active.assign((lanes + 63) / 64, 0);
-      for (size_t i = 0; i < lanes; ++i) {
-        if (fuzz->Coin(70)) {
-          active[i >> 6] |= uint64_t{1} << (i & 63);
-        }
-      }
-      chunk.active = active.data();
-    }
-  }
-
-  bool ActiveLane(size_t i) const {
-    return chunk.active == nullptr || ((active[i >> 6] >> (i & 63)) & 1);
+    chunk.rows = row_ptrs.data();
   }
 };
 
@@ -438,14 +407,11 @@ TEST(SqlVectorFuzzTest, ChunkEvaluationAgreesWithInterpreterLaneByLane) {
     size_t lanes = 1 + fuzz.PickN(24);
     if (iter % 16 == 0) lanes = 65 + fuzz.PickN(66);
     if (iter % 200 == 0) lanes = kChunkLanes;
-    ChunkCase cc(&fuzz, lanes, /*columnar=*/iter % 2 == 0, /*masked=*/iter % 5 == 0);
+    ChunkCase cc(&fuzz, lanes);
 
     compiled->EvalChunk(cc.chunk, bound, &scratch, &out);
     ASSERT_EQ(out.size(), lanes);
     for (size_t i = 0; i < lanes; ++i) {
-      if (!cc.ActiveLane(i)) {
-        continue;  // masked lanes are never evaluated
-      }
       StatusOr<Value> interpreted = Evaluate(*expr, TestResolver(cc.rows[i]), params);
       ASSERT_EQ(interpreted.ok(), out[i].ok())
           << "iter " << iter << " lane " << i << ": " << expr->ToString() << "\n  interpreter: "
@@ -484,7 +450,7 @@ TEST(SqlVectorFuzzTest, MatchChunkAgreesWithRowLoop) {
     BoundParams bound = compiled->BindParams(params);
     size_t lanes = 1 + fuzz.PickN(40);
     if (iter % 50 == 0) lanes = kChunkLanes;
-    ChunkCase cc(&fuzz, lanes, /*columnar=*/iter % 2 == 1, /*masked=*/false);
+    ChunkCase cc(&fuzz, lanes);
 
     // Oracle: the sequential loop.
     Status expect_status = OkStatus();

@@ -206,17 +206,6 @@ TEST(DisguisectlTest, ExplainAndApplyRoundTrip) {
   ASSERT_EQ(explain.exit_code, 0) << explain.output;
   EXPECT_NE(explain.output.find("Decorrelate"), std::string::npos);
   EXPECT_NE(explain.output.find("placeholder"), std::string::npos);
-  EXPECT_NE(explain.output.find("exec mode: row-at-a-time"), std::string::npos);
-
-  // --exec-mode threads through to the engine's database; a bad value is a
-  // usage error (exit 2), never a silent fall-back.
-  RunResult vec_explain = RunCli("explain " + db +
-                                 " --spec HotCRP-GDPR+ --uid 2 --exec-mode vectorized");
-  ASSERT_EQ(vec_explain.exit_code, 0) << vec_explain.output;
-  EXPECT_NE(vec_explain.output.find("exec mode: vectorized"), std::string::npos);
-  RunResult bad_mode = RunCli("explain " + db +
-                              " --spec HotCRP-GDPR+ --uid 2 --exec-mode warp");
-  EXPECT_EQ(bad_mode.exit_code, 2) << bad_mode.output;
 
   RunResult apply = RunCli("apply " + db + " --spec HotCRP-GDPR+ --uid 2");
   ASSERT_EQ(apply.exit_code, 0) << apply.output;

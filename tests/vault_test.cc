@@ -329,6 +329,68 @@ TEST(EncryptedVaultTest, CryptoOpsCounted) {
   EXPECT_GE(vault.stats().crypto_ops, 2u);  // one seal + one open
 }
 
+// StoreBatch derives each owner key's subkeys once for the whole batch; a
+// Store loop derives them per record. Both must leave vaults that nobody
+// can tell apart: same records per owner, per disguise and global, and the
+// same counters (bytes_stored covers the sealed sizes).
+TEST(EncryptedVaultTest, StoreBatchMatchesStoreLoop) {
+  KeyProvider provider = [](const Value& uid) -> StatusOr<std::vector<uint8_t>> {
+    return std::vector<uint8_t>(32, static_cast<uint8_t>(uid.AsInt()));
+  };
+  std::vector<RevealRecord> records;
+  for (int64_t owner : {19, 7, 19, 23, 7, 19}) {
+    RevealRecord rec = MakeRecord();
+    rec.disguise_id = 100 + records.size() % 3;
+    rec.user_id = Value::Int(owner);
+    rec.created = 1000 + static_cast<TimePoint>(records.size());
+    records.push_back(std::move(rec));
+  }
+  RevealRecord global = MakeRecord();
+  global.disguise_id = 101;
+  global.user_id = Value::Null();
+  records.push_back(std::move(global));
+
+  EncryptedVault batched(std::vector<uint8_t>(32, 1), provider, Rng(8));
+  EncryptedVault looped(std::vector<uint8_t>(32, 1), provider, Rng(8));
+  ASSERT_TRUE(batched.StoreBatch(records).ok());
+  for (const RevealRecord& rec : records) {
+    ASSERT_TRUE(looped.Store(rec).ok());
+  }
+
+  auto serialized = [](const StatusOr<std::vector<RevealRecord>>& fetched) {
+    EXPECT_TRUE(fetched.ok()) << fetched.status();
+    std::vector<std::vector<uint8_t>> out;
+    if (fetched.ok()) {
+      for (const RevealRecord& rec : *fetched) {
+        out.push_back(rec.Serialize());
+      }
+    }
+    return out;
+  };
+  for (int64_t owner : {7, 19, 23}) {
+    auto want = serialized(looped.FetchForUser(Value::Int(owner)));
+    EXPECT_FALSE(want.empty()) << "owner " << owner;
+    EXPECT_EQ(serialized(batched.FetchForUser(Value::Int(owner))), want) << "owner " << owner;
+  }
+  for (uint64_t id : {100, 101, 102}) {
+    auto want = serialized(looped.FetchForDisguise(id));
+    EXPECT_FALSE(want.empty()) << "disguise " << id;
+    EXPECT_EQ(serialized(batched.FetchForDisguise(id)), want) << "disguise " << id;
+  }
+  auto want_global = serialized(looped.FetchGlobal());
+  EXPECT_EQ(want_global.size(), 1u);
+  EXPECT_EQ(serialized(batched.FetchGlobal()), want_global);
+
+  const VaultStats& a = batched.stats();
+  const VaultStats& b = looped.stats();
+  EXPECT_EQ(a.stores, b.stores);
+  EXPECT_EQ(a.fetches, b.fetches);
+  EXPECT_EQ(a.records_fetched, b.records_fetched);
+  EXPECT_EQ(a.bytes_stored, b.bytes_stored);
+  EXPECT_EQ(a.crypto_ops, b.crypto_ops);
+  EXPECT_EQ(a.stores, records.size());
+}
+
 // --- Table-vault specifics ----------------------------------------------------------
 
 TEST(TableVaultTest, LivesInsideApplicationDatabase) {
