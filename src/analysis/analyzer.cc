@@ -47,21 +47,15 @@ AnalysisReport Analyze(const std::vector<disguise::DisguiseSpec>& specs,
   }
 
   for (const disguise::DisguiseSpec* spec : valid) {
-    if (options.run_lint) {
-      std::vector<Finding> lint = LintSpec(*spec, schema);
-      report.findings.insert(report.findings.end(),
-                             std::make_move_iterator(lint.begin()),
-                             std::make_move_iterator(lint.end()));
-    }
-    if (options.run_taint) {
-      std::vector<Finding> taint = AnalyzeTaint(*spec, schema, options.taint);
-      report.findings.insert(report.findings.end(),
-                             std::make_move_iterator(taint.begin()),
-                             std::make_move_iterator(taint.end()));
-    }
+    std::vector<Finding> lint = LintSpec(*spec, schema);
+    report.findings.insert(report.findings.end(), std::make_move_iterator(lint.begin()),
+                           std::make_move_iterator(lint.end()));
+    std::vector<Finding> taint = AnalyzeTaint(*spec, schema, options.taint);
+    report.findings.insert(report.findings.end(), std::make_move_iterator(taint.begin()),
+                           std::make_move_iterator(taint.end()));
   }
 
-  if (options.run_conflicts && valid.size() > 1) {
+  if (valid.size() > 1) {
     std::vector<Finding> conflicts = AnalyzeConflicts(valid);
     report.findings.insert(report.findings.end(),
                            std::make_move_iterator(conflicts.begin()),
@@ -212,10 +206,8 @@ VerifyReport Verify(const std::vector<disguise::DisguiseSpec>& specs,
                          std::make_move_iterator(coverage.begin()),
                          std::make_move_iterator(coverage.end()));
 
-  if (options.run_program_checks) {
-    for (const disguise::DisguiseSpec* spec : valid) {
-      RunProgramChecks(*spec, schema, &report.findings);
-    }
+  for (const disguise::DisguiseSpec* spec : valid) {
+    RunProgramChecks(*spec, schema, &report.findings);
   }
 
   SortFindings(&report.findings);

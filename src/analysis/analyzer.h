@@ -19,9 +19,6 @@ namespace edna::analysis {
 
 struct AnalyzerOptions {
   TaintOptions taint;
-  bool run_lint = true;
-  bool run_taint = true;
-  bool run_conflicts = true;
 };
 
 struct AnalysisReport {
@@ -45,13 +42,12 @@ AnalysisReport Analyze(const std::vector<disguise::DisguiseSpec>& specs,
 
 // --- `disguisectl verify`: the deep lifecycle pipeline -----------------------
 
+// Verify also compiles every transformation and assertion predicate against
+// its table, runs the static program checker (sql/verify.h), and proves the
+// program equivalent to its AST via decompilation + the symbolic engine.
 struct VerifyOptions {
   LifecycleOptions lifecycle;
   CoverageOptions coverage;
-  // Compile every transformation and assertion predicate against its table,
-  // run the static program checker (sql/verify.h), and prove the program
-  // equivalent to its AST via decompilation + the symbolic engine.
-  bool run_program_checks = true;
 };
 
 struct VerifyReport {

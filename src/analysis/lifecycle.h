@@ -67,6 +67,10 @@ struct LifecycleFaults {
   bool skew_reveal_values = false;
 };
 
+// Interleaving budget per combination (k=3 all-reversible needs 90); a
+// combination over it is reported as verify-truncated.
+inline constexpr size_t kMaxSequencesPerCombo = 512;
+
 struct LifecycleOptions {
   // Largest spec combination explored; clamped to [1, 3]. Pairs reproduce
   // the pairwise predictor; 3 covers the paper's compose-of-compose case.
@@ -74,9 +78,6 @@ struct LifecycleOptions {
   // Region budget: a table with more distinct predicates than this is
   // reported as truncated rather than partitioned (2^n sign vectors).
   size_t max_predicates_per_table = 8;
-  // Interleaving budget per combination (k=3 all-reversible needs 90).
-  size_t max_sequences_per_combo = 512;
-  bool check_idempotence = true;
   LifecycleFaults faults;
 };
 

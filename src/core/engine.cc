@@ -255,19 +255,18 @@ Status DisguiseEngine::RunDecorrelates(ApplyContext* ctx) {
       // pages — RowRef pointers would read cleared payloads.
       ASSIGN_OR_RETURN(auto rows,
                        db_->SelectRowsWithIds(td.table, tr.predicate(), ctx->params));
-      // Materialize (id, old value) pairs before mutating.
-      std::vector<std::pair<db::RowId, sql::Value>> targets;
-      const db::TableSchema* ts = db_->schema().FindTable(td.table);
-      int fk_idx = ts->ColumnIndex(fk_col);
-      targets.reserve(rows.size());
+      const size_t fk_idx =
+          static_cast<size_t>(db_->schema().FindTable(td.table)->ColumnIndex(fk_col));
+      // Set at a time: every placeholder first (one INSERT each, drawing
+      // from the operation's stream in row order), then one UPDATE statement
+      // repoints every decorrelated reference.
+      std::vector<db::Database::BatchUpdate> writes;
+      writes.reserve(rows.size());
       for (const auto& [id, row] : rows) {
-        const sql::Value& old = row[static_cast<size_t>(fk_idx)];
+        const sql::Value& old = row[fk_idx];
         if (old.is_null()) {
           continue;  // nothing to decorrelate
         }
-        targets.emplace_back(id, old);
-      }
-      for (const auto& [id, old] : targets) {
         // One fresh placeholder per row: "making it seem as if a different
         // user entered each of Bea's reviews" (§4.1).
         ASSIGN_OR_RETURN(sql::Value placeholder_pk,
@@ -277,14 +276,13 @@ Status DisguiseEngine::RunDecorrelates(ApplyContext* ctx) {
           op.owner = old;
           ctx->record.ops.push_back(std::move(op));
         }
-        if (options_.batch_operations) {
-          ctx->pending_batches[td.table].push_back({id, fk_col, placeholder_pk});
-        } else {
-          RETURN_IF_ERROR(RaceToAborted(db_->SetColumn(td.table, id, fk_col, placeholder_pk)));
-        }
+        writes.push_back({id, fk_col, std::move(placeholder_pk)});
         ++ctx->result.rows_decorrelated;
       }
-      RETURN_IF_ERROR(FlushBatches(ctx));
+      if (!writes.empty()) {
+        RETURN_IF_ERROR(
+            RaceToAborted(db_->BatchSetColumns(td.table, std::move(writes)).status()));
+      }
     }
   }
   return OkStatus();
@@ -297,15 +295,14 @@ Status DisguiseEngine::RunModifies(ApplyContext* ctx) {
       if (tr.kind() != TransformKind::kModify) {
         continue;
       }
+      // Only the ids of the RowRefs are used: a later statement's eviction
+      // may clear the payloads they point at.
       ASSIGN_OR_RETURN(std::vector<db::RowRef> rows,
                        db_->Select(td.table, tr.predicate(), ctx->params));
-      std::vector<db::RowId> ids;
-      ids.reserve(rows.size());
-      for (const db::RowRef& ref : rows) {
-        ids.push_back(ref.id);
-      }
       int col_idx = ts->ColumnIndex(tr.column());
-      for (db::RowId id : ids) {
+      std::vector<db::Database::BatchUpdate> writes;
+      for (const db::RowRef& ref : rows) {
+        const db::RowId id = ref.id;
         auto row_or = db_->GetRow(td.table, id);
         if (!row_or.ok()) {
           return RaceToAborted(row_or.status());
@@ -325,14 +322,14 @@ Status DisguiseEngine::RunModifies(ApplyContext* ctx) {
           ctx->record.ops.push_back(
               RevealOp::RestoreColumn(td.table, id, tr.column(), old, next));
         }
-        if (options_.batch_operations) {
-          ctx->pending_batches[td.table].push_back({id, tr.column(), next});
-        } else {
-          RETURN_IF_ERROR(RaceToAborted(db_->SetColumn(td.table, id, tr.column(), next)));
-        }
+        writes.push_back({id, tr.column(), std::move(next)});
         ++ctx->result.rows_modified;
       }
-      RETURN_IF_ERROR(FlushBatches(ctx));
+      // One UPDATE statement for the whole transformation.
+      if (!writes.empty()) {
+        RETURN_IF_ERROR(
+            RaceToAborted(db_->BatchSetColumns(td.table, std::move(writes)).status()));
+      }
     }
   }
   return OkStatus();
@@ -423,6 +420,8 @@ Status DisguiseEngine::RemoveWithClosure(ApplyContext* ctx, const std::string& t
           continue;
         }
         sql::ExprPtr pred = MakeEqExpr(fk.column, pk_value);
+        // Only the kids' ids are read: the statements below may evict the
+        // payloads their RowRefs point at.
         ASSIGN_OR_RETURN(std::vector<db::RowRef> kids,
                          db_->Select(child.name(), pred.get(), ctx->params));
         if (kids.empty()) {
@@ -439,34 +438,23 @@ Status DisguiseEngine::RemoveWithClosure(ApplyContext* ctx, const std::string& t
                 "removing \"" + table + "\" row " + pk_value.ToSqlString() +
                 " would orphan " + std::to_string(kids.size()) + " row(s) of \"" +
                 child.name() + "\" (RESTRICT)"));
-          case db::FkAction::kCascade: {
-            std::vector<db::RowId> kid_ids;
-            kid_ids.reserve(kids.size());
-            for (const db::RowRef& k : kids) {
-              kid_ids.push_back(k.id);
-            }
-            for (db::RowId kid : kid_ids) {
-              if (db_->RowExists(child.name(), kid)) {
-                RETURN_IF_ERROR(RemoveWithClosure(ctx, child.name(), kid, depth + 1));
+          case db::FkAction::kCascade:
+            for (const db::RowRef& kid : kids) {
+              if (db_->RowExists(child.name(), kid.id)) {
+                RETURN_IF_ERROR(RemoveWithClosure(ctx, child.name(), kid.id, depth + 1));
               }
             }
             break;
-          }
-          case db::FkAction::kSetNull: {
-            std::vector<db::RowId> kid_ids;
-            for (const db::RowRef& k : kids) {
-              kid_ids.push_back(k.id);
-            }
-            for (db::RowId kid : kid_ids) {
+          case db::FkAction::kSetNull:
+            for (const db::RowRef& kid : kids) {
               if (ctx->spec->reversible()) {
                 ctx->record.ops.push_back(RevealOp::RestoreColumn(
-                    child.name(), kid, fk.column, pk_value, sql::Value::Null()));
+                    child.name(), kid.id, fk.column, pk_value, sql::Value::Null()));
               }
               RETURN_IF_ERROR(RaceToAborted(
-                  db_->SetColumn(child.name(), kid, fk.column, sql::Value::Null())));
+                  db_->SetColumn(child.name(), kid.id, fk.column, sql::Value::Null())));
             }
             break;
-          }
         }
       }
     }
@@ -492,16 +480,11 @@ Status DisguiseEngine::RunRemoves(ApplyContext* ctx) {
       }
       ASSIGN_OR_RETURN(std::vector<db::RowRef> rows,
                        db_->Select(table, tr.predicate(), ctx->params));
-      std::vector<db::RowId> ids;
-      ids.reserve(rows.size());
-      for (const db::RowRef& ref : rows) {
-        ids.push_back(ref.id);
-      }
-      for (db::RowId id : ids) {
-        if (!db_->RowExists(table, id)) {
+      for (const db::RowRef& ref : rows) {  // ids only, as in RunModifies
+        if (!db_->RowExists(table, ref.id)) {
           continue;  // removed by an earlier closure walk
         }
-        RETURN_IF_ERROR(RemoveWithClosure(ctx, table, id, 0));
+        RETURN_IF_ERROR(RemoveWithClosure(ctx, table, ref.id, 0));
       }
     }
   }
@@ -578,16 +561,6 @@ void DisguiseEngine::UnprotectRows(uint64_t disguise_id) {
     }
   }
   protected_by_disguise_.erase(it);
-}
-
-Status DisguiseEngine::FlushBatches(ApplyContext* ctx) {
-  for (auto& [table, updates] : ctx->pending_batches) {
-    if (!updates.empty()) {
-      RETURN_IF_ERROR(RaceToAborted(db_->BatchSetColumns(table, updates).status()));
-      updates.clear();
-    }
-  }
-  return OkStatus();
 }
 
 }  // namespace edna::core

@@ -72,19 +72,12 @@ struct EngineOptions {
   // §6's optimization: reuse decorrelations already performed by a prior
   // disguise instead of recorrelating and re-decorrelating.
   bool reuse_decorrelation = false;
-  // Shard global disguises' reveal records per affected user (Edna's
-  // per-user vault tables). Off = one monolithic record per application,
-  // forcing composition to scan every user's reveal functions (ablation E).
-  bool shard_global_reveal_records = true;
   // §7's "prohibit updates to disguised data": while a reversible disguise
   // is active, application writes (updates and deletes) to the rows it
   // transformed — and to its placeholder rows — are rejected with
   // kFailedPrecondition. The engine's own apply/reveal operations are
   // exempt. Reveal the disguise first, then modify.
   bool protect_disguised_data = false;
-  // Batch row mutations through multi-row statements where possible
-  // (ablation B). Off = one statement per row, as Edna issues them.
-  bool batch_operations = false;
   // Derive each Apply/Reveal's randomness (generated values, placeholder
   // primary keys) purely from (seed, spec, uid, per-pair invocation count)
   // instead of a shared stream. Makes an operation's effect independent of
@@ -202,7 +195,7 @@ class DisguiseEngine {
   // Maps row-level kNotFound / kIntegrityViolation — races with concurrently
   // COMMITTED transactions that write intents cannot catch — to kAborted, so
   // batch executors retry and the retry reproduces the serial-schedule
-  // outcome. Applied at every per-row site of the apply and reveal paths.
+  // outcome. Applied wherever the apply and reveal paths touch a selected row.
   static Status RaceToAborted(const Status& s);
 
   // --- Apply phases ---------------------------------------------------------
@@ -217,7 +210,6 @@ class DisguiseEngine {
   Status RunDecorrelates(ApplyContext* ctx);
   Status RunModifies(ApplyContext* ctx);
   Status RunRemoves(ApplyContext* ctx);
-  Status FlushBatches(ApplyContext* ctx);
   Status CheckAssertions(const disguise::DisguiseSpec& spec, const sql::ParamMap& params);
 
   // Creates one placeholder row per the table's recipe; returns its PK

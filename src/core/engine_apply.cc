@@ -46,19 +46,11 @@ StatusOr<ApplyResult> DisguiseEngine::ApplyForUser(const std::string& spec_name,
 Status DisguiseEngine::RecorrelateForUser(ApplyContext* ctx) {
   // Pull the reveal records holding transformations of this user's data.
   // Because global disguises shard their reveal functions per affected user
-  // (see ShardRecordByOwner), ONE user's vault suffices — the engine never
-  // scans every user's reveal functions to compose, mirroring Edna's
-  // per-user vault tables. Vault entries exist only for *active* disguises
-  // (Reveal removes them), so no staleness filtering is needed.
+  // (Apply stores one record per owner), ONE user's vault suffices — the
+  // engine never scans every user's reveal functions to compose, mirroring
+  // Edna's per-user vault tables. Vault entries exist only for *active*
+  // disguises (Reveal removes them), so no staleness filtering is needed.
   ASSIGN_OR_RETURN(std::vector<RevealRecord> records, vault_->FetchForUser(ctx->uid));
-  if (!options_.shard_global_reveal_records) {
-    // Unsharded mode: global disguises left one monolithic record each; the
-    // user's ops hide inside them, so every global record must be scanned.
-    ASSIGN_OR_RETURN(std::vector<RevealRecord> global_records, vault_->FetchGlobal());
-    for (RevealRecord& r : global_records) {
-      records.push_back(std::move(r));
-    }
-  }
   ctx->result.vault_records_scanned = records.size();
 
   for (const RevealRecord& rec : records) {
@@ -281,7 +273,7 @@ StatusOr<ApplyResult> DisguiseEngine::Apply(const std::string& spec_name,
       ProtectRows(disguise_id, ctx.record);
     }
     Status stored = [&]() -> Status {
-      if (spec->per_user() || !options_.shard_global_reveal_records) {
+      if (spec->per_user()) {
         return vault_->Store(ctx.record);
       }
       // Global disguise: shard reveal ops by owner into per-user records so
@@ -290,39 +282,31 @@ StatusOr<ApplyResult> DisguiseEngine::Apply(const std::string& spec_name,
       // in a single ownerless record, stored last so reversal (which walks
       // records in reverse) undoes it first — preserving strict LIFO for
       // the ops recorded after the decorrelation phase.
-      std::vector<sql::Value> owner_order;
-      std::map<std::string, RevealRecord> shards;
-      RevealRecord global;
-      global.disguise_id = ctx.record.disguise_id;
-      global.disguise_name = ctx.record.disguise_name;
-      global.user_id = sql::Value::Null();
-      global.created = ctx.record.created;
-      for (RevealOp& op : ctx.record.ops) {
-        if (op.owner.is_null()) {
-          global.ops.push_back(std::move(op));
-          continue;
-        }
-        std::string key = op.owner.ToSqlString();
-        auto it = shards.find(key);
-        if (it == shards.end()) {
-          RevealRecord shard;
-          shard.disguise_id = ctx.record.disguise_id;
-          shard.disguise_name = ctx.record.disguise_name;
-          shard.user_id = op.owner;
-          shard.created = ctx.record.created;
-          it = shards.emplace(key, std::move(shard)).first;
-          owner_order.push_back(op.owner);
-        }
-        it->second.ops.push_back(std::move(op));
-      }
+      auto empty_record = [&](sql::Value user) {
+        RevealRecord r;
+        r.disguise_id = ctx.record.disguise_id;
+        r.disguise_name = ctx.record.disguise_name;
+        r.user_id = std::move(user);
+        r.created = ctx.record.created;
+        return r;
+      };
       // One batched store: owner shards in discovery order, global last.
       // Vault::StoreBatch preserves Store-loop semantics record by record
       // (fail points, nonce draws, first-failure stop) while letting
       // encrypted backends amortize key derivation across the batch.
       std::vector<RevealRecord> batch;
-      batch.reserve(owner_order.size() + 1);
-      for (const sql::Value& owner : owner_order) {
-        batch.push_back(std::move(shards.at(owner.ToSqlString())));
+      std::map<std::string, size_t> shard_of;  // owner -> index in batch
+      RevealRecord global = empty_record(sql::Value::Null());
+      for (RevealOp& op : ctx.record.ops) {
+        if (op.owner.is_null()) {
+          global.ops.push_back(std::move(op));
+          continue;
+        }
+        auto [it, fresh] = shard_of.try_emplace(op.owner.ToSqlString(), batch.size());
+        if (fresh) {
+          batch.push_back(empty_record(op.owner));
+        }
+        batch[it->second].ops.push_back(std::move(op));
       }
       batch.push_back(std::move(global));
       return vault_->StoreBatch(batch);

@@ -3,7 +3,6 @@
 #ifndef SRC_CORE_ENGINE_INTERNAL_H_
 #define SRC_CORE_ENGINE_INTERNAL_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -31,9 +30,6 @@ struct DisguiseEngine::ApplyContext {
     sql::Value placeholder_value;  // value the prior disguise had written
   };
   std::vector<Recorrelated> recorrelated;
-
-  // Pending batched writes (flushed per transformation when batching is on).
-  std::map<std::string, std::vector<db::Database::BatchUpdate>> pending_batches;
 };
 
 // One transformation of a later active disguise, used by Reveal to filter

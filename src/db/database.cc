@@ -1,6 +1,7 @@
 #include "src/db/database.h"
 
 #include <algorithm>
+#include <array>
 #include <set>
 
 #include "src/common/failpoint.h"
@@ -16,6 +17,9 @@ namespace {
 // counter is enough: a thread computes deltas around one operation on one
 // database at a time, so cross-instance bleed cannot occur within a delta.
 thread_local uint64_t tls_statements = 0;
+
+// Column targets of the write statements that name none.
+const std::array<Database::BatchUpdate, 0> kNoColumns{};
 
 }  // namespace
 
@@ -188,9 +192,7 @@ class Database::StatementScope {
         }
         return lsn.status();
       }
-      if (wal_lsn != nullptr) {
-        *wal_lsn = *lsn;
-      }
+      *wal_lsn = *lsn;
     }
     done_ = true;
     if (implicit_) {
@@ -471,14 +473,6 @@ std::vector<std::string> Database::ParentTables(const std::string& table) const 
   return out;
 }
 
-std::vector<std::string> Database::ChildTables(const std::string& table) const {
-  std::vector<std::string> out;
-  for (const ChildRef& child : ChildrenOf(table)) {
-    out.push_back(child.child_table);
-  }
-  return out;
-}
-
 Status Database::CheckFkTarget(const ForeignKeyDef& fk, const sql::Value& v) const {
   if (v.is_null()) {
     return OkStatus();
@@ -571,31 +565,87 @@ void Database::ApplyUndo(TxnState& tx, size_t from_mark) {
 
 // --- DML ---------------------------------------------------------------------
 
-StatusOr<RowId> Database::Insert(const std::string& table, Row row) {
+template <typename Targets, typename Body>
+auto Database::RunWriteStatement(const std::string& table, WriteLocks locks,
+                                 const Targets& targets, Body&& body)
+    -> std::invoke_result_t<Body&, TxnState&, Table*, const std::vector<size_t>&> {
+  using Result = std::invoke_result_t<Body&, TxnState&, Table*, const std::vector<size_t>&>;
   uint64_t wal_lsn = 0;
-  RowId id = kInvalidRowId;
-  {
+  Result result = [&]() -> Result {
     TableLock lock(this);
-    lock.Lock({table}, ParentTables(table));
+    if (locks == WriteLocks::kDelete) {
+      lock.Lock(DeleteClosure(table), {});
+    } else {
+      std::vector<std::string> shared = ParentTables(table);
+      if (locks == WriteLocks::kUpdate) {
+        for (const ChildRef& child : ChildrenOf(table)) {
+          shared.push_back(child.child_table);
+        }
+      }
+      lock.Lock({table}, shared);
+    }
     Table* t = MutableTable(table);
     if (t == nullptr) {
       return NotFound("no table \"" + table + "\"");
     }
+    std::vector<size_t> columns;
+    columns.reserve(targets.size());
+    for (const auto& target : targets) {
+      const int idx = t->schema().ColumnIndex(target.column);
+      if (idx < 0) {
+        return NotFound("unknown column \"" + target.column + "\" in table \"" + table +
+                        "\"");
+      }
+      columns.push_back(static_cast<size_t>(idx));
+    }
     TxnState& tx = Txn();
     StatementScope scope(this, tx);
     CountStatement();
-    RETURN_IF_ERROR(CheckRowFks(t->schema(), row));
-    ASSIGN_OR_RETURN(id, t->Insert(std::move(row)));
-    ++stats_.rows_inserted;
-    LogInsert(tx, table, id);
-    // Claim the fresh row so a concurrent transaction cannot delete or update
-    // it before this one commits (it can only see it through reads).
-    RETURN_IF_ERROR(ClaimIntent(tx, table, id));
-    RETURN_IF_ERROR(scope.Commit(&wal_lsn));
+    Result out = body(tx, t, columns);
+    if (out.ok()) {
+      Status committed = scope.Commit(&wal_lsn);
+      if (!committed.ok()) {
+        return committed;
+      }
+    }
+    return out;
+  }();
+  if (!result.ok()) {
+    return result;
   }
   RETURN_IF_ERROR(WaitWalDurable(wal_lsn));
   RETURN_IF_ERROR(MaybeEvictPages());
-  return id;
+  return result;
+}
+
+template <typename Emit>
+auto Database::MatchStatement(const std::string& table, const sql::Expr* pred,
+                              const sql::ParamMap& params, Emit&& emit) const
+    -> std::invoke_result_t<Emit&, const Table&, std::vector<RowId>> {
+  TableLock lock(this);
+  lock.Lock({}, {table});
+  auto it = tables_.find(table);
+  if (it == tables_.end()) {
+    return NotFound("no table \"" + table + "\"");
+  }
+  CountStatement();
+  ASSIGN_OR_RETURN(std::vector<RowId> ids, MatchRows(it->second, pred, params));
+  return emit(it->second, std::move(ids));
+}
+
+StatusOr<RowId> Database::Insert(const std::string& table, Row row) {
+  return RunWriteStatement(
+      table, WriteLocks::kInsert, kNoColumns,
+      [&](TxnState& tx, Table* t, const std::vector<size_t>&) -> StatusOr<RowId> {
+        RETURN_IF_ERROR(CheckRowFks(t->schema(), row));
+        ASSIGN_OR_RETURN(RowId id, t->Insert(std::move(row)));
+        ++stats_.rows_inserted;
+        LogInsert(tx, table, id);
+        // Claim the fresh row so a concurrent transaction cannot delete or
+        // update it before this one commits (it can only see it through reads).
+        RETURN_IF_ERROR(ClaimIntent(tx, table, id));
+        return id;
+      });
 }
 
 StatusOr<RowId> Database::InsertValues(const std::string& table,
@@ -966,97 +1016,61 @@ StatusOr<std::string> Database::DescribePlan(const std::string& table,
 
 StatusOr<std::vector<RowRef>> Database::Select(const std::string& table, const sql::Expr* pred,
                                                const sql::ParamMap& params) const {
-  TableLock lock(this);
-  lock.Lock({}, {table});
-  auto it = tables_.find(table);
-  const Table* t = it == tables_.end() ? nullptr : &it->second;
-  if (t == nullptr) {
-    return NotFound("no table \"" + table + "\"");
-  }
-  CountStatement();
-  ASSIGN_OR_RETURN(std::vector<RowId> ids, MatchRows(*t, pred, params));
-  std::vector<RowRef> out;
-  out.reserve(ids.size());
-  for (RowId id : ids) {
-    out.push_back(RowRef{id, t->Find(id)});
-  }
   // No MaybeEvictPages here on purpose: the returned pointers live past the
   // stripe lock, and a later statement's eviction may clear any payload not
   // pinned by an open intent. Callers that hold rows across statements use
   // SelectRowsWithIds.
-  RETURN_IF_ERROR(StickyCacheError());
-  return out;
+  return MatchStatement(
+      table, pred, params,
+      [this](const Table& t, std::vector<RowId> ids) -> StatusOr<std::vector<RowRef>> {
+        std::vector<RowRef> out;
+        out.reserve(ids.size());
+        for (RowId id : ids) {
+          out.push_back(RowRef{id, t.Find(id)});
+        }
+        RETURN_IF_ERROR(StickyCacheError());
+        return out;
+      });
 }
 
 StatusOr<std::vector<Row>> Database::SelectRows(const std::string& table,
                                                 const sql::Expr* pred,
                                                 const sql::ParamMap& params) const {
+  ASSIGN_OR_RETURN(auto rows, SelectRowsWithIds(table, pred, params));
   std::vector<Row> out;
-  {
-    TableLock lock(this);
-    lock.Lock({}, {table});
-    auto it = tables_.find(table);
-    const Table* t = it == tables_.end() ? nullptr : &it->second;
-    if (t == nullptr) {
-      return NotFound("no table \"" + table + "\"");
-    }
-    CountStatement();
-    ASSIGN_OR_RETURN(std::vector<RowId> ids, MatchRows(*t, pred, params));
-    out.reserve(ids.size());
-    for (RowId id : ids) {
-      const Row* row = t->Find(id);
-      if (row != nullptr) {
-        out.push_back(*row);
-      }
-    }
-    RETURN_IF_ERROR(StickyCacheError());
+  out.reserve(rows.size());
+  for (auto& [id, row] : rows) {
+    out.push_back(std::move(row));
   }
-  RETURN_IF_ERROR(MaybeEvictPages());
   return out;
 }
 
 StatusOr<std::vector<std::pair<RowId, Row>>> Database::SelectRowsWithIds(
     const std::string& table, const sql::Expr* pred,
     const sql::ParamMap& params) const {
-  std::vector<std::pair<RowId, Row>> out;
-  {
-    TableLock lock(this);
-    lock.Lock({}, {table});
-    auto it = tables_.find(table);
-    const Table* t = it == tables_.end() ? nullptr : &it->second;
-    if (t == nullptr) {
-      return NotFound("no table \"" + table + "\"");
-    }
-    CountStatement();
-    ASSIGN_OR_RETURN(std::vector<RowId> ids, MatchRows(*t, pred, params));
+  using IdRows = std::vector<std::pair<RowId, Row>>;
+  auto copy = [this](const Table& t, std::vector<RowId> ids) -> StatusOr<IdRows> {
+    IdRows out;
     out.reserve(ids.size());
     for (RowId id : ids) {
-      const Row* row = t->Find(id);
-      if (row != nullptr) {
+      if (const Row* row = t.Find(id); row != nullptr) {
         out.emplace_back(id, *row);
       }
     }
     RETURN_IF_ERROR(StickyCacheError());
-  }
+    return out;
+  };
+  ASSIGN_OR_RETURN(IdRows out, MatchStatement(table, pred, params, copy));
   RETURN_IF_ERROR(MaybeEvictPages());
   return out;
 }
 
 StatusOr<size_t> Database::Count(const std::string& table, const sql::Expr* pred,
                                  const sql::ParamMap& params) const {
-  size_t n = 0;
-  {
-    TableLock lock(this);
-    lock.Lock({}, {table});
-    auto it = tables_.find(table);
-    const Table* t = it == tables_.end() ? nullptr : &it->second;
-    if (t == nullptr) {
-      return NotFound("no table \"" + table + "\"");
-    }
-    CountStatement();
-    ASSIGN_OR_RETURN(std::vector<RowId> ids, MatchRows(*t, pred, params));
-    n = ids.size();
-  }
+  auto count = [](const Table&, std::vector<RowId> ids) -> StatusOr<size_t> {
+    return ids.size();
+  };
+  ASSIGN_OR_RETURN(size_t n, MatchStatement(table, pred, params, count));
   RETURN_IF_ERROR(MaybeEvictPages());
   return n;
 }
@@ -1064,64 +1078,37 @@ StatusOr<size_t> Database::Count(const std::string& table, const sql::Expr* pred
 StatusOr<size_t> Database::Update(const std::string& table, const sql::Expr* pred,
                                   const sql::ParamMap& params,
                                   const std::vector<Assignment>& assignments) {
-  uint64_t wal_lsn = 0;
-  size_t updated = 0;
-  {
-    TableLock lock(this);
-    {
-      std::vector<std::string> shared = ParentTables(table);
-      std::vector<std::string> children = ChildTables(table);
-      shared.insert(shared.end(), children.begin(), children.end());
-      lock.Lock({table}, shared);
-    }
-    Table* t = MutableTable(table);
-    if (t == nullptr) {
-      return NotFound("no table \"" + table + "\"");
-    }
-    const TableSchema& schema = t->schema();
-    // Pre-validate assignment columns.
-    std::vector<size_t> col_indices;
-    col_indices.reserve(assignments.size());
-    for (const Assignment& a : assignments) {
-      int idx = schema.ColumnIndex(a.column);
-      if (idx < 0) {
-        return NotFound("unknown column \"" + a.column + "\" in table \"" + table + "\"");
-      }
-      col_indices.push_back(static_cast<size_t>(idx));
-    }
-
-    TxnState& tx = Txn();
-    StatementScope scope(this, tx);
-    CountStatement();  // the SELECT phase
-    ASSIGN_OR_RETURN(std::vector<RowId> ids, MatchRows(*t, pred, params));
-
-    for (RowId id : ids) {
-      const Row* row = t->Find(id);
-      if (row == nullptr) {
-        continue;
-      }
-      // Evaluate all assignment expressions against the pre-update row.
-      std::vector<sql::Value> new_values;
-      new_values.reserve(assignments.size());
-      sql::ColumnResolver resolver = MakeRowResolver(schema, *row);
-      for (const Assignment& a : assignments) {
-        ASSIGN_OR_RETURN(sql::Value v, sql::Evaluate(*a.expr, resolver, params));
-        new_values.push_back(std::move(v));
-      }
-      for (size_t k = 0; k < assignments.size(); ++k) {
-        RETURN_IF_ERROR(SetColumnInTxn(tx, table, t, id, col_indices[k], std::move(new_values[k])));
-      }
-      ++updated;
-      CountStatement();  // one UPDATE statement per row, as Edna issues them
-    }
-    // A nullptr Find above may be a page-fault failure rather than a row
-    // deleted earlier in this statement; abort rather than under-update.
-    RETURN_IF_ERROR(StickyCacheError());
-    RETURN_IF_ERROR(scope.Commit(&wal_lsn));
-  }
-  RETURN_IF_ERROR(WaitWalDurable(wal_lsn));
-  RETURN_IF_ERROR(MaybeEvictPages());
-  return updated;
+  // The statement the runner counts is the SELECT phase.
+  return RunWriteStatement(
+      table, WriteLocks::kUpdate, assignments,
+      [&](TxnState& tx, Table* t, const std::vector<size_t>& columns) -> StatusOr<size_t> {
+        ASSIGN_OR_RETURN(std::vector<RowId> ids, MatchRows(*t, pred, params));
+        size_t updated = 0;
+        for (RowId id : ids) {
+          const Row* row = t->Find(id);
+          if (row == nullptr) {
+            continue;
+          }
+          // Evaluate all assignment expressions against the pre-update row.
+          std::vector<sql::Value> new_values;
+          new_values.reserve(assignments.size());
+          sql::ColumnResolver resolver = MakeRowResolver(t->schema(), *row);
+          for (const Assignment& a : assignments) {
+            ASSIGN_OR_RETURN(sql::Value v, sql::Evaluate(*a.expr, resolver, params));
+            new_values.push_back(std::move(v));
+          }
+          for (size_t k = 0; k < assignments.size(); ++k) {
+            RETURN_IF_ERROR(
+                SetColumnInTxn(tx, table, t, id, columns[k], std::move(new_values[k])));
+          }
+          ++updated;
+          CountStatement();  // one UPDATE statement per row, as Edna issues them
+        }
+        // A nullptr Find above may be a page-fault failure rather than a row
+        // deleted earlier in this statement; abort rather than under-update.
+        RETURN_IF_ERROR(StickyCacheError());
+        return updated;
+      });
 }
 
 // Private helper is declared inline here: performs an FK-checked single
@@ -1172,65 +1159,36 @@ Status Database::SetColumnInTxn(TxnState& tx, const std::string& table_name, Tab
 }
 
 StatusOr<size_t> Database::BatchSetColumns(const std::string& table,
-                                           const std::vector<BatchUpdate>& updates) {
-  uint64_t wal_lsn = 0;
-  {
-    TableLock lock(this);
-    {
-      std::vector<std::string> shared = ParentTables(table);
-      std::vector<std::string> children = ChildTables(table);
-      shared.insert(shared.end(), children.begin(), children.end());
-      lock.Lock({table}, shared);
-    }
-    Table* t = MutableTable(table);
-    if (t == nullptr) {
-      return NotFound("no table \"" + table + "\"");
-    }
-    TxnState& tx = Txn();
-    StatementScope scope(this, tx);
-    CountStatement();  // one multi-row statement
-    for (const BatchUpdate& u : updates) {
-      int idx = t->schema().ColumnIndex(u.column);
-      if (idx < 0) {
-        return NotFound("unknown column \"" + u.column + "\" in table \"" + table + "\"");
-      }
-      RETURN_IF_ERROR(SetColumnInTxn(tx, table, t, u.id, static_cast<size_t>(idx), u.value));
-    }
-    RETURN_IF_ERROR(scope.Commit(&wal_lsn));
-  }
-  RETURN_IF_ERROR(WaitWalDurable(wal_lsn));
-  RETURN_IF_ERROR(MaybeEvictPages());
-  return updates.size();
+                                           std::vector<BatchUpdate> updates) {
+  return RunWriteStatement(
+      table, WriteLocks::kUpdate, updates,
+      [&](TxnState& tx, Table* t, const std::vector<size_t>& columns) -> StatusOr<size_t> {
+        for (size_t k = 0; k < updates.size(); ++k) {
+          RETURN_IF_ERROR(SetColumnInTxn(tx, table, t, updates[k].id, columns[k],
+                                         std::move(updates[k].value)));
+        }
+        return updates.size();
+      });
 }
 
 StatusOr<size_t> Database::Delete(const std::string& table, const sql::Expr* pred,
                                   const sql::ParamMap& params) {
-  uint64_t wal_lsn = 0;
-  size_t deleted = 0;
-  {
-    TableLock lock(this);
-    lock.Lock(DeleteClosure(table), {});
-    Table* t = MutableTable(table);
-    if (t == nullptr) {
-      return NotFound("no table \"" + table + "\"");
-    }
-    TxnState& tx = Txn();
-    StatementScope scope(this, tx);
-    CountStatement();
-    ASSIGN_OR_RETURN(std::vector<RowId> ids, MatchRows(*t, pred, params));
-    for (RowId id : ids) {
-      if (!t->Contains(id)) {
-        continue;  // removed by an earlier cascade in this statement
-      }
-      RETURN_IF_ERROR(DeleteRowInternal(tx, table, id, 0));
-      ++deleted;
-      CountStatement();  // one DELETE statement per row
-    }
-    RETURN_IF_ERROR(scope.Commit(&wal_lsn));
-  }
-  RETURN_IF_ERROR(WaitWalDurable(wal_lsn));
-  RETURN_IF_ERROR(MaybeEvictPages());
-  return deleted;
+  // The statement the runner counts is the SELECT phase.
+  return RunWriteStatement(
+      table, WriteLocks::kDelete, kNoColumns,
+      [&](TxnState& tx, Table* t, const std::vector<size_t>&) -> StatusOr<size_t> {
+        ASSIGN_OR_RETURN(std::vector<RowId> ids, MatchRows(*t, pred, params));
+        size_t deleted = 0;
+        for (RowId id : ids) {
+          if (!t->Contains(id)) {
+            continue;  // removed by an earlier cascade in this statement
+          }
+          RETURN_IF_ERROR(DeleteRowInternal(tx, table, id, 0));
+          ++deleted;
+          CountStatement();  // one DELETE statement per row
+        }
+        return deleted;
+      });
 }
 
 Status Database::DeleteRowInternal(TxnState& tx, const std::string& table, RowId id,
@@ -1373,69 +1331,32 @@ bool Database::RowExists(const std::string& table, RowId id) const {
 
 Status Database::SetColumn(const std::string& table, RowId id, const std::string& column,
                            sql::Value value) {
-  uint64_t wal_lsn = 0;
-  {
-    TableLock lock(this);
-    {
-      std::vector<std::string> shared = ParentTables(table);
-      std::vector<std::string> children = ChildTables(table);
-      shared.insert(shared.end(), children.begin(), children.end());
-      lock.Lock({table}, shared);
-    }
-    Table* t = MutableTable(table);
-    if (t == nullptr) {
-      return NotFound("no table \"" + table + "\"");
-    }
-    int idx = t->schema().ColumnIndex(column);
-    if (idx < 0) {
-      return NotFound("unknown column \"" + column + "\" in table \"" + table + "\"");
-    }
-    TxnState& tx = Txn();
-    StatementScope scope(this, tx);
-    CountStatement();
-    RETURN_IF_ERROR(SetColumnInTxn(tx, table, t, id, static_cast<size_t>(idx), std::move(value)));
-    RETURN_IF_ERROR(scope.Commit(&wal_lsn));
-  }
-  RETURN_IF_ERROR(WaitWalDurable(wal_lsn));
-  return MaybeEvictPages();
+  std::vector<BatchUpdate> one;
+  one.push_back({id, column, std::move(value)});
+  return BatchSetColumns(table, std::move(one)).status();
 }
 
 Status Database::DeleteRow(const std::string& table, RowId id) {
-  uint64_t wal_lsn = 0;
-  {
-    TableLock lock(this);
-    lock.Lock(DeleteClosure(table), {});
-    TxnState& tx = Txn();
-    StatementScope scope(this, tx);
-    CountStatement();
-    RETURN_IF_ERROR(DeleteRowInternal(tx, table, id, 0));
-    RETURN_IF_ERROR(scope.Commit(&wal_lsn));
-  }
-  RETURN_IF_ERROR(WaitWalDurable(wal_lsn));
-  return MaybeEvictPages();
+  return RunWriteStatement(table, WriteLocks::kDelete, kNoColumns,
+                           [&](TxnState& tx, Table*, const std::vector<size_t>&) {
+                             return DeleteRowInternal(tx, table, id, 0);
+                           });
 }
 
 Status Database::RestoreRow(const std::string& table, RowId id, Row row) {
-  uint64_t wal_lsn = 0;
-  {
-    TableLock lock(this);
-    lock.Lock({table}, ParentTables(table));
-    Table* t = MutableTable(table);
-    if (t == nullptr) {
-      return NotFound("no table \"" + table + "\"");
-    }
-    TxnState& tx = Txn();
-    StatementScope scope(this, tx);
-    CountStatement();
-    RETURN_IF_ERROR(ClaimIntent(tx, table, id));
-    RETURN_IF_ERROR(CheckRowFks(t->schema(), row));
-    RETURN_IF_ERROR(t->InsertWithId(id, std::move(row)));
-    ++stats_.rows_inserted;
-    LogInsert(tx, table, id);
-    RETURN_IF_ERROR(scope.Commit(&wal_lsn));
-  }
-  RETURN_IF_ERROR(WaitWalDurable(wal_lsn));
-  return MaybeEvictPages();
+  return RunWriteStatement(
+      table, WriteLocks::kInsert, kNoColumns,
+      [&](TxnState& tx, Table* t, const std::vector<size_t>&) -> Status {
+        // Claimed before the insert (Insert claims after): the id is known up
+        // front, so another transaction's live intent on it aborts the
+        // restore before it touches the table.
+        RETURN_IF_ERROR(ClaimIntent(tx, table, id));
+        RETURN_IF_ERROR(CheckRowFks(t->schema(), row));
+        RETURN_IF_ERROR(t->InsertWithId(id, std::move(row)));
+        ++stats_.rows_inserted;
+        LogInsert(tx, table, id);
+        return OkStatus();
+      });
 }
 
 Status Database::BulkLoadRow(const std::string& table, RowId id, Row row) {

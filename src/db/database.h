@@ -38,6 +38,7 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -53,8 +54,10 @@
 namespace edna::db {
 
 // Statement / row-touch counters. "Queries" counts logical statements the
-// way a SQL client would issue them: one per select/insert/delete statement
-// and one per row-level update, mirroring how Edna talks to MySQL.
+// way a SQL client would issue them: one per select, insert, row-level write
+// and BatchSetColumns (the engine's one UPDATE per Modify or Decorrelate).
+// A predicate Update or Delete counts its SELECT plus one statement per row
+// it writes. Row-level reads (GetRow, GetColumn, ...) are not statements.
 //
 // Counters are atomics so concurrent statements account exactly (no lost
 // increments); the copy operations take a relaxed snapshot so existing
@@ -252,11 +255,14 @@ class Database {
     sql::Value value;
   };
 
-  // Applies many single-column writes as ONE logical statement (stats count
-  // one query, n row writes). Models the batched/multi-row UPDATE path the
-  // paper suggests as an optimization; FK checks still apply per write.
+  // Applies many single-column writes as ONE logical statement (one query,
+  // n row writes): the multi-row UPDATE the disguise engine issues once per
+  // Modify or Decorrelate transformation (the paper's §6 batching). Every
+  // column is resolved before the statement counts; FK checks apply per
+  // write, and a failed write unwinds the whole statement. The values move
+  // into the rows, so pass `updates` as an rvalue to avoid copying them.
   StatusOr<size_t> BatchSetColumns(const std::string& table,
-                                   const std::vector<BatchUpdate>& updates);
+                                   std::vector<BatchUpdate> updates);
 
   // --- Row-level operations (disguise engine fast paths) --------------------
 
@@ -268,7 +274,7 @@ class Database {
   // under concurrency). False for unknown tables.
   bool RowExists(const std::string& table, RowId id) const;
 
-  // Single-column write with FK validation and undo logging.
+  // Single-column write: the one-row case of BatchSetColumns.
   Status SetColumn(const std::string& table, RowId id, const std::string& column,
                    sql::Value value);
 
@@ -399,6 +405,32 @@ class Database {
 
   TxnState& Txn() const;
 
+  // Lock set of a write statement: the table exclusive plus its FK parents
+  // shared (kInsert), plus its FK children shared too (kUpdate: PK-change
+  // checks), or the whole FK delete closure exclusive (kDelete).
+  enum class WriteLocks { kInsert, kUpdate, kDelete };
+
+  // The protocol every DML entry point runs: take the lock set; resolve
+  // `table` and the column of each of `targets` (objects with a `column`
+  // member), failing kNotFound before anything counts; open the
+  // implicit-transaction scope, count one statement, run
+  // `body(tx, table, column_indices)` and commit; then, with no locks held,
+  // wait for WAL durability and sweep the page cache. `body` returns Status
+  // or StatusOr<T>, and so does the runner.
+  template <typename Targets, typename Body>
+  auto RunWriteStatement(const std::string& table, WriteLocks locks, const Targets& targets,
+                         Body&& body)
+      -> std::invoke_result_t<Body&, TxnState&, Table*, const std::vector<size_t>&>;
+
+  // The read body Select, SelectRowsWithIds (so SelectRows) and Count
+  // share: under a shared lock on `table`, count one statement, match `pred`
+  // and return `emit(table, ids)`, built while the lock is held. Eviction is
+  // the caller's: Select skips it because its RowRefs outlive the lock.
+  template <typename Emit>
+  auto MatchStatement(const std::string& table, const sql::Expr* pred,
+                      const sql::ParamMap& params, Emit&& emit) const
+      -> std::invoke_result_t<Emit&, const Table&, std::vector<RowId>>;
+
   Table* MutableTable(const std::string& name);
 
   // Children referencing `parent_table`: (child table name, fk).
@@ -414,8 +446,6 @@ class Database {
 
   // FK parent tables of `table` (read during FK checks on writes).
   std::vector<std::string> ParentTables(const std::string& table) const;
-  // Child tables referencing `table` (read during PK-change checks).
-  std::vector<std::string> ChildTables(const std::string& table) const;
 
   // FK existence check for one value (non-NULL) against the parent table.
   Status CheckFkTarget(const ForeignKeyDef& fk, const sql::Value& v) const;

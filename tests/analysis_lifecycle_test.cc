@@ -4,7 +4,9 @@
 //     up to k = 3;
 //   * a differential check that the k = 2 verifier agrees with the pairwise
 //     conflict predictor on every shipped pair, and is strictly stronger on
-//     a constructed Modify+Decorrelate overlap the pairwise pass cannot see;
+//     a constructed Modify+Decorrelate overlap the pairwise pass cannot see,
+//     but weaker on two specs modifying the same cells (the predictor's
+//     error gates CI; the verifier only warns, and only if reversible);
 //   * a mutation battery: a model that drops vault writes, reveals a
 //     non-inverse value, or reveals in the wrong order is flagged with the
 //     right finding kind — the verifier's own soundness regression suite;
@@ -220,6 +222,39 @@ table logs:
   EXPECT_TRUE(
       HasFinding(lifecycle, "reveal-order-unsafe", "NullFk+Decor", "logs", "user_id"));
   EXPECT_EQ(CountErrors(lifecycle), 0u);  // reversible either way round
+}
+
+TEST(LifecycleTest, PredictorGatesSharedModifyTheVerifierOnlyWarnsOn) {
+  // Why the pairwise predictor is not yet redundant: two per-user specs
+  // Modify the same cells. The predictor raises a CI-gating error; the k=2
+  // verifier only warns about reveal order, and says nothing at all once
+  // the specs are irreversible.
+  db::Schema schema = TestSchema();
+  auto spec = [&](const char* name, const char* value, bool reversible) {
+    std::string text = std::string("disguise_name: \"") + name +
+                       "\"\nuser_to_disguise: $UID\nreversible: " +
+                       (reversible ? "true" : "false") +
+                       "\ntable logs:\n  transformations:\n"
+                       "    Modify(pred: \"user_id\" = $UID, column: \"ip\", value: " +
+                       value + ")\n";
+    return Parse(schema, text.c_str());
+  };
+  LifecycleOptions options;
+  options.max_k = 2;
+  for (bool reversible : {true, false}) {
+    SCOPED_TRACE(reversible ? "reversible" : "irreversible");
+    DisguiseSpec a = spec("RedactIp", "Redact", reversible);
+    DisguiseSpec b = spec("HashIp", "Hash", reversible);
+
+    std::vector<Finding> pairwise = AnalyzeConflicts({&a, &b});
+    const Finding* conflict = FindFinding(pairwise, "conflicting-modify", "logs", "ip");
+    ASSERT_NE(conflict, nullptr);
+    EXPECT_EQ(conflict->severity, Severity::kError);
+
+    std::vector<Finding> lifecycle = VerifyLifecycle({&a, &b}, schema, options);
+    EXPECT_EQ(HasFinding(lifecycle, "reveal-order-unsafe", "", "logs", "ip"), reversible);
+    EXPECT_EQ(CountErrors(lifecycle), 0u);
+  }
 }
 
 // --- Mutation battery -------------------------------------------------------

@@ -1,8 +1,10 @@
 // Unit-level tests of the DisguiseEngine on a deliberately tiny schema, so
 // each mechanism (phase ordering, reveal records, assertions, log, vault
-// interplay, batching) is observable in isolation.
+// interplay, statement counts) is observable in isolation.
 #include <gtest/gtest.h>
 
+#include "src/apps/hotcrp/disguises.h"
+#include "src/apps/hotcrp/generator.h"
 #include "src/common/clock.h"
 #include "src/core/engine.h"
 #include "src/disguise/spec_parser.h"
@@ -373,22 +375,27 @@ table notes:
   EXPECT_TRUE(db_.CheckIntegrity().ok());
 }
 
-TEST_F(EngineTest, BatchingReducesQueryCount) {
-  auto baseline = engine_->Apply("RedactAll", {});
-  ASSERT_TRUE(baseline.ok());
-  ASSERT_TRUE(engine_->Reveal(baseline->disguise_id).ok());
+TEST_F(EngineTest, ModifyStatementsDoNotGrowWithRows) {
+  // Set at a time: a Modify costs one SELECT and one multi-row UPDATE
+  // however many rows it rewrites.
+  auto three = engine_->Apply("RedactAll", {});
+  ASSERT_TRUE(three.ok()) << three.status();
+  ASSERT_EQ(three->rows_modified, 3u);
+  ASSERT_TRUE(engine_->Reveal(three->disguise_id).ok());
 
-  engine_->options().batch_operations = true;
-  auto batched = engine_->Apply("RedactAll", {});
-  ASSERT_TRUE(batched.ok());
-  EXPECT_EQ(batched->rows_modified, baseline->rows_modified);
-  EXPECT_LT(batched->queries, baseline->queries);
-  EXPECT_EQ(Count("notes", "\"text\" = '[redacted]'"), 3u);
+  for (int i = 0; i < 40; ++i) {
+    AddNote(2, "extra " + std::to_string(i));
+  }
+  auto many = engine_->Apply("RedactAll", {});
+  ASSERT_TRUE(many.ok()) << many.status();
+  EXPECT_EQ(many->rows_modified, 43u);
+  EXPECT_EQ(many->queries, three->queries);
+  EXPECT_EQ(Count("notes", "\"text\" = '[redacted]'"), 43u);
 }
 
 TEST_F(EngineTest, QueriesGrowWithTouchedRows) {
   // Add many more notes for Bea and verify the per-apply query count grows
-  // ~linearly (the §6 observation).
+  // linearly (the §6 observation).
   auto r1 = engine_->ApplyForUser("Scrub", Value::Int(1));
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(engine_->Reveal(r1->disguise_id).ok());
@@ -398,41 +405,9 @@ TEST_F(EngineTest, QueriesGrowWithTouchedRows) {
   }
   auto r2 = engine_->ApplyForUser("Scrub", Value::Int(1));
   ASSERT_TRUE(r2.ok());
-  EXPECT_GT(r2->queries, r1->queries + 40);  // at least one query per new row
-}
-
-TEST_F(EngineTest, UnshardedModeStillComposesCorrectly) {
-  // Ablation-E configuration: one monolithic reveal record per global
-  // disguise. Composition must still find the user's data (by scanning the
-  // global records) and reach the same end state.
-  engine_->options().shard_global_reveal_records = false;
-  auto global_spec = disguise::ParseDisguiseSpec(R"(
-disguise_name: "AnonAll2"
-reversible: true
-table users:
-  generate_placeholder:
-    "name" <- Random
-    "email" <- Const(NULL)
-    "disabled" <- Const(TRUE)
-  transformations:
-    Modify(pred: "disabled" = FALSE AND "email" IS NOT NULL, column: "email", value: Hash)
-table notes:
-  transformations:
-    Decorrelate(pred: TRUE, foreign_key: ("user_id", users))
-)");
-  ASSERT_TRUE(global_spec.ok());
-  ASSERT_TRUE(engine_->RegisterSpec(*std::move(global_spec)).ok());
-  auto anon = engine_->Apply("AnonAll2", {});
-  ASSERT_TRUE(anon.ok()) << anon.status();
-  // Exactly one (monolithic) vault record.
-  EXPECT_EQ(vault_.NumRecords(), 1u);
-
-  auto purge = engine_->ApplyForUser("Purge", Value::Int(1));
-  ASSERT_TRUE(purge.ok()) << purge.status();
-  EXPECT_TRUE(purge->composed);
-  EXPECT_EQ(Count("users", "\"id\" = 1"), 0u);
-  EXPECT_EQ(Count("notes", "TRUE"), 1u);
-  EXPECT_TRUE(db_.CheckIntegrity().ok());
+  // Each decorrelated row costs exactly one placeholder INSERT; the FK
+  // rewrites share one UPDATE.
+  EXPECT_EQ(r2->queries, r1->queries + 40);
 }
 
 TEST_F(EngineTest, GlobalDisguiseRecordsGoToGlobalVault) {
@@ -441,6 +416,26 @@ TEST_F(EngineTest, GlobalDisguiseRecordsGoToGlobalVault) {
   ASSERT_TRUE(global.ok());
   EXPECT_EQ(global->size(), 1u);
   EXPECT_TRUE((*global)[0].user_id.is_null());
+}
+
+// The statement count of the paper's most expensive operation, pinned:
+// ConfAnon over the 1x HotCRP database (430 users, 450 papers, 1400
+// reviews) generated from the default seed. Every Modify and Decorrelate
+// transformation writes its rows with one statement.
+TEST(EngineStatementsTest, ConfAnonOnPaperScaleHotCrp) {
+  db::Database db;
+  auto generated = hotcrp::Populate(&db, hotcrp::Config{});
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  vault::OfflineVault vault;
+  SimulatedClock clock(0);
+  DisguiseEngine engine(&db, &vault, &clock);
+  auto spec = hotcrp::ConfAnonSpec();
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  ASSERT_TRUE(engine.RegisterSpec(*std::move(spec)).ok());
+
+  auto anon = engine.Apply(hotcrp::kConfAnonName, {});
+  ASSERT_TRUE(anon.ok()) << anon.status();
+  EXPECT_EQ(anon->queries, 3594u);
 }
 
 }  // namespace

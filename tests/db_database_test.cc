@@ -2,6 +2,11 @@
 // (RESTRICT / CASCADE / SET NULL), transactions, statistics, snapshots.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/db/database.h"
 #include "src/sql/parser.h"
 
@@ -322,14 +327,321 @@ TEST_F(DatabaseTest, RestoreRowReinsertsWithSameId) {
   EXPECT_EQ(*db_.GetColumn("users", 1, "name"), Value::String("bea"));
 }
 
+// --- Accounting contract -------------------------------------------------
+// Every DML and read entry point, run once on a small fixture, with the
+// exact counter deltas it must produce, and the status code and unchanged
+// data of each failure class. The linear-scaling experiment and the
+// benchmark's statement counts rest on these numbers.
+
+// users: 1 bea, 2 axl, 3 bob, 4 dee. posts: 1 (by 1), 2 (by 2).
+// likes: 1 (post 1, fan 3), 2 (post 2, fan 1).
+void PopulateContractFixture(Database* db) {
+  for (const char* name : {"bea", "axl", "bob", "dee"}) {
+    ASSERT_TRUE(db->InsertValues("users", {{"name", Value::String(name)}}).ok());
+  }
+  for (int64_t uid : {1, 2}) {
+    ASSERT_TRUE(db->InsertValues("posts", {{"user_id", Value::Int(uid)},
+                                           {"body", Value::String("p")}})
+                    .ok());
+  }
+  for (auto [post, fan] : {std::pair<int64_t, int64_t>{1, 3}, {2, 1}}) {
+    ASSERT_TRUE(db->InsertValues("likes", {{"post_id", Value::Int(post)},
+                                           {"fan_id", Value::Int(fan)}})
+                    .ok());
+  }
+}
+
+// Every row of the fixture's tables, for "a failed statement changes nothing".
+std::string DumpTables(const Database& db) {
+  std::string out;
+  for (const char* table : {"users", "posts", "likes"}) {
+    auto rows = db.SelectRowsWithIds(table, nullptr, {});
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    out += table;
+    for (const auto& [id, row] : *rows) {
+      out += " " + std::to_string(id) + ":";
+      for (const Value& v : row) {
+        out += v.ToSqlString() + ",";
+      }
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+struct StatDeltas {
+  uint64_t queries = 0;
+  uint64_t rows_read = 0;
+  uint64_t rows_inserted = 0;
+  uint64_t rows_updated = 0;
+  uint64_t rows_deleted = 0;
+  uint64_t index_lookups = 0;
+  uint64_t thread_statements = 0;
+};
+
 TEST_F(DatabaseTest, StatsCountQueriesAndRows) {
-  db_.ResetStats();
-  AddUser("bea");            // 1 query, 1 insert
-  auto pred = Pred("TRUE");
-  ASSERT_TRUE(db_.Select("users", pred.get(), {}).ok());  // 1 query, 1 read
-  EXPECT_EQ(db_.stats().queries, 2u);
-  EXPECT_EQ(db_.stats().rows_inserted, 1u);
-  EXPECT_EQ(db_.stats().rows_read, 1u);
+  PopulateContractFixture(&db_);
+  auto id2 = Pred("\"id\" = 2");
+  auto by_user1 = Pred("\"user_id\" = 1");
+  auto by_user2 = Pred("\"user_id\" = 2");
+  auto bob = Pred("\"name\" = 'bob'");  // unindexed: scan + residual
+  std::vector<Assignment> bump;
+  bump.push_back({.column = "karma", .expr = std::move(*sql::ParseExpression("\"karma\" + 1"))});
+
+  struct Case {
+    const char* entry_point;
+    std::function<Status(Database&)> run;
+    StatDeltas want;
+  };
+  const std::vector<Case> cases = {
+      // FK check on user_id: one index lookup.
+      {"Insert",
+       [](Database& db) {
+         return db.Insert("posts", {Value::Null(), Value::Int(1), Value::String("x")}).status();
+       },
+       {.queries = 1, .rows_inserted = 1, .index_lookups = 1, .thread_statements = 1}},
+      {"InsertValues",
+       [](Database& db) {
+         return db.InsertValues("likes", {{"post_id", Value::Int(2)}, {"fan_id", Value::Int(4)}})
+             .status();
+       },
+       {.queries = 1, .rows_inserted = 1, .index_lookups = 2, .thread_statements = 1}},
+      {"Select",
+       [&](Database& db) { return db.Select("users", id2.get(), {}).status(); },
+       {.queries = 1, .rows_read = 1, .index_lookups = 1, .thread_statements = 1}},
+      {"SelectRows",
+       [&](Database& db) { return db.SelectRows("posts", by_user1.get(), {}).status(); },
+       {.queries = 1, .rows_read = 1, .index_lookups = 1, .thread_statements = 1}},
+      {"SelectRowsWithIds",
+       [&](Database& db) { return db.SelectRowsWithIds("users", bob.get(), {}).status(); },
+       {.queries = 1, .rows_read = 4, .thread_statements = 1}},
+      {"Count",
+       [](Database& db) { return db.Count("likes", nullptr, {}).status(); },
+       {.queries = 1, .rows_read = 2, .thread_statements = 1}},
+      // One SELECT plus one UPDATE per row, as Edna issues them.
+      {"Update",
+       [&](Database& db) { return db.Update("users", nullptr, {}, bump).status(); },
+       {.queries = 5, .rows_read = 4, .rows_updated = 4, .thread_statements = 5}},
+      // One DELETE per matched row; the cascaded like rides along.
+      {"Delete",
+       [&](Database& db) { return db.Delete("posts", by_user2.get(), {}).status(); },
+       {.queries = 2, .rows_read = 1, .rows_deleted = 2, .index_lookups = 2,
+        .thread_statements = 2}},
+      // One statement for every write, one FK check per write.
+      {"BatchSetColumns",
+       [](Database& db) {
+         return db.BatchSetColumns("posts", {{1, "user_id", Value::Int(4)},
+                                             {2, "user_id", Value::Int(4)}})
+             .status();
+       },
+       {.queries = 1, .rows_updated = 2, .index_lookups = 2, .thread_statements = 1}},
+      // A PK change probes each referencing child table.
+      {"SetColumn",
+       [](Database& db) { return db.SetColumn("users", 4, "id", Value::Int(9)); },
+       {.queries = 1, .rows_updated = 1, .index_lookups = 2, .thread_statements = 1}},
+      // SET NULL on the like bob is a fan of.
+      {"DeleteRow",
+       [](Database& db) { return db.DeleteRow("users", 3); },
+       {.queries = 1, .rows_updated = 1, .rows_deleted = 1, .index_lookups = 2,
+        .thread_statements = 1}},
+      {"RestoreRow",
+       [](Database& db) {
+         return db.RestoreRow("posts", 7, {Value::Int(7), Value::Int(1), Value::String("r")});
+       },
+       {.queries = 1, .rows_inserted = 1, .index_lookups = 1, .thread_statements = 1}},
+      // Row-level reads are not statements.
+      {"GetRow",
+       [](Database& db) { return db.GetRow("users", 1).status(); },
+       {.rows_read = 1}},
+      {"GetColumn",
+       [](Database& db) { return db.GetColumn("users", 1, "name").status(); },
+       {.rows_read = 1}},
+      {"RowExists",
+       [](Database& db) {
+         return db.RowExists("users", 1) ? OkStatus() : NotFound("row 1 missing");
+       },
+       {}},
+      {"LookupPk",
+       [](Database& db) {
+         PkKey key;
+         key.values.push_back(Value::Int(1));
+         return db.LookupPk("users", key).status();
+       },
+       {.index_lookups = 1}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.entry_point);
+    std::unique_ptr<Database> db = db_.Snapshot();
+    const DbStats before = db->stats();
+    const uint64_t statements_before = Database::ThreadStatements();
+    const Status status = c.run(*db);
+    ASSERT_TRUE(status.ok()) << status;
+    const DbStats& after = db->stats();
+    EXPECT_EQ(after.queries - before.queries, c.want.queries);
+    EXPECT_EQ(after.rows_read - before.rows_read, c.want.rows_read);
+    EXPECT_EQ(after.rows_inserted - before.rows_inserted, c.want.rows_inserted);
+    EXPECT_EQ(after.rows_updated - before.rows_updated, c.want.rows_updated);
+    EXPECT_EQ(after.rows_deleted - before.rows_deleted, c.want.rows_deleted);
+    EXPECT_EQ(after.index_lookups - before.index_lookups, c.want.index_lookups);
+    EXPECT_EQ(Database::ThreadStatements() - statements_before, c.want.thread_statements);
+    EXPECT_TRUE(db->CheckIntegrity().ok());
+  }
+}
+
+TEST_F(DatabaseTest, FailedStatementsReportCodeAndChangeNothing) {
+  PopulateContractFixture(&db_);
+  auto all = Pred("TRUE");
+  auto id1 = Pred("\"id\" = 1");
+  auto assign = [](const char* column, const char* expr) {
+    std::vector<Assignment> out;
+    out.push_back({.column = column, .expr = std::move(*sql::ParseExpression(expr))});
+    return out;
+  };
+  const std::vector<Assignment> ghost_karma = assign("ghost", "1");
+  const std::vector<Assignment> dangling_author = assign("user_id", "99");
+  const std::vector<Assignment> any_karma = assign("karma", "1");
+  PkKey pk99;
+  pk99.values.push_back(Value::Int(99));
+
+  struct Case {
+    const char* what;
+    std::function<Status(Database&)> run;
+    StatusCode want;
+  };
+  const std::vector<Case> cases = {
+      // Unknown table.
+      {"Insert ghost", [](Database& db) { return db.Insert("ghost", {}).status(); },
+       StatusCode::kNotFound},
+      {"InsertValues ghost",
+       [](Database& db) { return db.InsertValues("ghost", {}).status(); },
+       StatusCode::kNotFound},
+      {"Select ghost",
+       [&](Database& db) { return db.Select("ghost", all.get(), {}).status(); },
+       StatusCode::kNotFound},
+      {"SelectRows ghost",
+       [&](Database& db) { return db.SelectRows("ghost", all.get(), {}).status(); },
+       StatusCode::kNotFound},
+      {"SelectRowsWithIds ghost",
+       [&](Database& db) { return db.SelectRowsWithIds("ghost", all.get(), {}).status(); },
+       StatusCode::kNotFound},
+      {"Count ghost", [&](Database& db) { return db.Count("ghost", all.get(), {}).status(); },
+       StatusCode::kNotFound},
+      {"Update ghost",
+       [&](Database& db) { return db.Update("ghost", nullptr, {}, any_karma).status(); },
+       StatusCode::kNotFound},
+      {"Delete ghost", [&](Database& db) { return db.Delete("ghost", all.get(), {}).status(); },
+       StatusCode::kNotFound},
+      {"BatchSetColumns ghost",
+       [](Database& db) {
+         return db.BatchSetColumns("ghost", {{1, "karma", Value::Int(1)}}).status();
+       },
+       StatusCode::kNotFound},
+      {"SetColumn ghost",
+       [](Database& db) { return db.SetColumn("ghost", 1, "karma", Value::Int(1)); },
+       StatusCode::kNotFound},
+      {"DeleteRow ghost", [](Database& db) { return db.DeleteRow("ghost", 1); },
+       StatusCode::kNotFound},
+      {"RestoreRow ghost", [](Database& db) { return db.RestoreRow("ghost", 1, {}); },
+       StatusCode::kNotFound},
+      {"GetRow ghost", [](Database& db) { return db.GetRow("ghost", 1).status(); },
+       StatusCode::kNotFound},
+      {"GetColumn ghost",
+       [](Database& db) { return db.GetColumn("ghost", 1, "karma").status(); },
+       StatusCode::kNotFound},
+      {"LookupPk ghost", [&](Database& db) { return db.LookupPk("ghost", pk99).status(); },
+       StatusCode::kNotFound},
+      // Unknown column.
+      {"InsertValues column",
+       [](Database& db) {
+         return db.InsertValues("users", {{"ghost", Value::Int(1)}}).status();
+       },
+       StatusCode::kNotFound},
+      {"Update column",
+       [&](Database& db) { return db.Update("users", nullptr, {}, ghost_karma).status(); },
+       StatusCode::kNotFound},
+      {"BatchSetColumns column",
+       [](Database& db) {
+         return db.BatchSetColumns("users", {{1, "karma", Value::Int(5)},
+                                             {2, "ghost", Value::Int(5)}})
+             .status();
+       },
+       StatusCode::kNotFound},
+      {"SetColumn column",
+       [](Database& db) { return db.SetColumn("users", 1, "ghost", Value::Int(1)); },
+       StatusCode::kNotFound},
+      {"GetColumn column",
+       [](Database& db) { return db.GetColumn("users", 1, "ghost").status(); },
+       StatusCode::kNotFound},
+      // Missing row.
+      {"BatchSetColumns row",
+       [](Database& db) {
+         return db.BatchSetColumns("users", {{1, "karma", Value::Int(5)},
+                                             {99, "karma", Value::Int(5)}})
+             .status();
+       },
+       StatusCode::kNotFound},
+      {"SetColumn row",
+       [](Database& db) { return db.SetColumn("users", 99, "name", Value::String("x")); },
+       StatusCode::kNotFound},
+      {"DeleteRow row", [](Database& db) { return db.DeleteRow("users", 99); },
+       StatusCode::kNotFound},
+      {"GetRow row", [](Database& db) { return db.GetRow("users", 99).status(); },
+       StatusCode::kNotFound},
+      {"GetColumn row",
+       [](Database& db) { return db.GetColumn("users", 99, "name").status(); },
+       StatusCode::kNotFound},
+      {"LookupPk row", [&](Database& db) { return db.LookupPk("users", pk99).status(); },
+       StatusCode::kNotFound},
+      {"RestoreRow live id",
+       [](Database& db) {
+         return db.RestoreRow("users", 1, {Value::Int(1), Value::String("x"), Value::Int(0)});
+       },
+       StatusCode::kAlreadyExists},
+      // FK violations.
+      {"Insert FK",
+       [](Database& db) {
+         return db.Insert("posts", {Value::Null(), Value::Int(99), Value::String("x")})
+             .status();
+       },
+       StatusCode::kIntegrityViolation},
+      {"Update FK",
+       [&](Database& db) { return db.Update("posts", nullptr, {}, dangling_author).status(); },
+       StatusCode::kIntegrityViolation},
+      {"BatchSetColumns FK",
+       [](Database& db) {
+         return db.BatchSetColumns("posts", {{1, "user_id", Value::Int(3)},
+                                             {2, "user_id", Value::Int(99)}})
+             .status();
+       },
+       StatusCode::kIntegrityViolation},
+      {"SetColumn FK",
+       [](Database& db) { return db.SetColumn("posts", 1, "user_id", Value::Int(99)); },
+       StatusCode::kIntegrityViolation},
+      {"SetColumn referenced PK",
+       [](Database& db) { return db.SetColumn("users", 1, "id", Value::Int(9)); },
+       StatusCode::kIntegrityViolation},
+      {"RestoreRow FK",
+       [](Database& db) {
+         return db.RestoreRow("posts", 7, {Value::Int(7), Value::Int(99), Value::String("r")});
+       },
+       StatusCode::kIntegrityViolation},
+      // RESTRICT.
+      {"Delete RESTRICT",
+       [&](Database& db) { return db.Delete("users", id1.get(), {}).status(); },
+       StatusCode::kIntegrityViolation},
+      {"DeleteRow RESTRICT", [](Database& db) { return db.DeleteRow("users", 2); },
+       StatusCode::kIntegrityViolation},
+  };
+  const std::string fixture = DumpTables(db_);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::unique_ptr<Database> db = db_.Snapshot();
+    EXPECT_EQ(c.run(*db).code(), c.want);
+    EXPECT_FALSE(db->InTransaction());
+    EXPECT_EQ(DumpTables(*db), fixture);
+    EXPECT_TRUE(db->CheckIntegrity().ok());
+  }
+  EXPECT_FALSE(db_.RowExists("ghost", 1));
 }
 
 TEST_F(DatabaseTest, SnapshotIsDeepCopy) {
