@@ -120,6 +120,12 @@ StatusOr<RevealResult> DisguiseEngine::Reveal(uint64_t disguise_id) {
         if (schema == nullptr) {
           return Internal("reveal record references missing table \"" + op.table + "\"");
         }
+        // Checked here, not left to GetColumn: its kNotFound would read as a
+        // concurrent delete and be retried as a write conflict.
+        if (op.kind == RevealOp::Kind::kRestoreColumn && !schema->HasColumn(op.column)) {
+          return Internal("reveal record references missing column \"" + op.column +
+                          "\" of table \"" + op.table + "\"");
+        }
         switch (op.kind) {
           case RevealOp::Kind::kRestoreColumn: {
             if (!db_->RowExists(op.table, op.row_id)) {

@@ -44,49 +44,81 @@ size_t Database::StripeOf(const std::string& table) {
   return std::hash<std::string>{}(table) % kNumStripes;
 }
 
-Database::TableLock::TableLock(const Database* db) : db_(db) {
-  db_->catalog_mu_.lock_shared();
-}
-
-void Database::TableLock::Lock(const std::vector<std::string>& exclusive,
-                               const std::vector<std::string>& shared) {
+Database::LockPlan Database::BuildLockPlan(const std::vector<std::string>& exclusive,
+                                           const std::vector<std::string>& shared) {
   // Collapse table names onto stripes; if a stripe is wanted in both modes,
   // exclusive wins. Acquisition in ascending stripe order makes every
   // multi-stripe statement take locks in the same global order (deadlock
   // freedom); each stripe is acquired at most once (shared_mutex is not
   // recursive).
-  std::map<size_t, bool> want;
-  for (const std::string& t : exclusive) {
-    want[StripeOf(t)] = true;
-  }
+  enum Want : uint8_t { kNone, kShared, kExclusive };
+  std::array<Want, kNumStripes> want{};
   for (const std::string& t : shared) {
-    want.emplace(StripeOf(t), false);
+    want[StripeOf(t)] = kShared;
   }
-  held_.reserve(want.size());
-  for (const auto& [stripe, excl] : want) {
+  for (const std::string& t : exclusive) {
+    want[StripeOf(t)] = kExclusive;
+  }
+  LockPlan plan;
+  for (size_t stripe = 0; stripe < kNumStripes; ++stripe) {
+    if (want[stripe] != kNone) {
+      plan.emplace_back(stripe, want[stripe] == kExclusive);
+    }
+  }
+  return plan;
+}
+
+Database::TableLock::TableLock(const Database* db) : db_(db) {
+  db_->catalog_mu_.lock_shared();
+}
+
+void Database::TableLock::Acquire(const LockPlan& plan) {
+  for (const auto& [stripe, excl] : plan) {
     if (excl) {
       db_->stripes_[stripe].lock();
     } else {
       db_->stripes_[stripe].lock_shared();
     }
-    held_.emplace_back(stripe, excl);
   }
+  held_ = &plan;
+}
+
+void Database::TableLock::LockTable(const std::string& table, LockKind kind) {
+  const TableLinks* links = db_->LinksOf(table);
+  if (links != nullptr) {
+    Acquire(links->locks[static_cast<size_t>(kind)]);
+  } else if (kind == LockKind::kRead) {
+    Lock({}, {table});
+  } else {
+    Lock({table}, {});
+  }
+}
+
+void Database::TableLock::Lock(const std::vector<std::string>& exclusive,
+                               const std::vector<std::string>& shared) {
+  built_ = BuildLockPlan(exclusive, shared);
+  Acquire(built_);
 }
 
 void Database::TableLock::LockAllShared() {
-  held_.reserve(kNumStripes);
-  for (size_t i = 0; i < kNumStripes; ++i) {
-    db_->stripes_[i].lock_shared();
-    held_.emplace_back(i, false);
-  }
+  static const LockPlan kAllShared = [] {
+    LockPlan plan;
+    for (size_t i = 0; i < kNumStripes; ++i) {
+      plan.emplace_back(i, false);
+    }
+    return plan;
+  }();
+  Acquire(kAllShared);
 }
 
 Database::TableLock::~TableLock() {
-  for (auto it = held_.rbegin(); it != held_.rend(); ++it) {
-    if (it->second) {
-      db_->stripes_[it->first].unlock();
-    } else {
-      db_->stripes_[it->first].unlock_shared();
+  if (held_ != nullptr) {
+    for (auto it = held_->rbegin(); it != held_->rend(); ++it) {
+      if (it->second) {
+        db_->stripes_[it->first].unlock();
+      } else {
+        db_->stripes_[it->first].unlock_shared();
+      }
     }
   }
   db_->catalog_mu_.unlock_shared();
@@ -413,6 +445,7 @@ Status Database::CreateTable(TableSchema schema) {
       const uint32_t table_id = cache_->RegisterTable(it->first, &it->second);
       it->second.SetPager(cache_.get(), table_id);
     }
+    RebuildLinks();
     InvalidatePlans();
   }
   return WaitWalDurable(wal_lsn);
@@ -438,39 +471,44 @@ Table* Database::MutableTable(const std::string& name) {
   return it == tables_.end() ? nullptr : &it->second;
 }
 
-std::vector<Database::ChildRef> Database::ChildrenOf(const std::string& parent_table) const {
-  std::vector<ChildRef> out;
+void Database::RebuildLinks() {
+  links_.clear();
   for (const TableSchema& t : schema_.tables()) {
+    TableLinks& links = links_[t.name()];
     for (const ForeignKeyDef& fk : t.foreign_keys()) {
-      if (fk.parent_table == parent_table) {
-        out.push_back(ChildRef{t.name(), fk});
+      links.parents.push_back(fk.parent_table);
+      // A parent that has not been created yet gets no entry; its children
+      // are linked when it arrives (its CreateTable rebuilds every entry).
+      if (tables_.count(fk.parent_table) > 0) {
+        links_[fk.parent_table].children.push_back(ChildRef{t.name(), fk});
       }
     }
   }
-  return out;
-}
-
-std::vector<std::string> Database::DeleteClosure(const std::string& table) const {
-  std::vector<std::string> closure{table};
-  std::set<std::string> seen{table};
-  for (size_t i = 0; i < closure.size(); ++i) {
-    for (const ChildRef& child : ChildrenOf(closure[i])) {
-      if (seen.insert(child.child_table).second) {
-        closure.push_back(child.child_table);
+  for (auto& [name, links] : links_) {
+    std::vector<std::string>& closure = links.delete_closure;
+    closure.push_back(name);
+    std::set<std::string> seen{name};
+    for (size_t i = 0; i < closure.size(); ++i) {
+      for (const ChildRef& child : links_.at(closure[i]).children) {
+        if (seen.insert(child.child_table).second) {
+          closure.push_back(child.child_table);
+        }
       }
     }
+    std::vector<std::string> shared = links.parents;
+    links.locks[static_cast<size_t>(LockKind::kRead)] = BuildLockPlan({}, {name});
+    links.locks[static_cast<size_t>(LockKind::kInsert)] = BuildLockPlan({name}, shared);
+    for (const ChildRef& child : links.children) {
+      shared.push_back(child.child_table);
+    }
+    links.locks[static_cast<size_t>(LockKind::kUpdate)] = BuildLockPlan({name}, shared);
+    links.locks[static_cast<size_t>(LockKind::kDelete)] = BuildLockPlan(closure, {});
   }
-  return closure;
 }
 
-std::vector<std::string> Database::ParentTables(const std::string& table) const {
-  std::vector<std::string> out;
-  if (const TableSchema* ts = schema_.FindTable(table); ts != nullptr) {
-    for (const ForeignKeyDef& fk : ts->foreign_keys()) {
-      out.push_back(fk.parent_table);
-    }
-  }
-  return out;
+const Database::TableLinks* Database::LinksOf(const std::string& table) const {
+  auto it = links_.find(table);
+  return it == links_.end() ? nullptr : &it->second;
 }
 
 Status Database::CheckFkTarget(const ForeignKeyDef& fk, const sql::Value& v) const {
@@ -566,24 +604,14 @@ void Database::ApplyUndo(TxnState& tx, size_t from_mark) {
 // --- DML ---------------------------------------------------------------------
 
 template <typename Targets, typename Body>
-auto Database::RunWriteStatement(const std::string& table, WriteLocks locks,
+auto Database::RunWriteStatement(const std::string& table, LockKind locks,
                                  const Targets& targets, Body&& body)
     -> std::invoke_result_t<Body&, TxnState&, Table*, const std::vector<size_t>&> {
   using Result = std::invoke_result_t<Body&, TxnState&, Table*, const std::vector<size_t>&>;
   uint64_t wal_lsn = 0;
   Result result = [&]() -> Result {
     TableLock lock(this);
-    if (locks == WriteLocks::kDelete) {
-      lock.Lock(DeleteClosure(table), {});
-    } else {
-      std::vector<std::string> shared = ParentTables(table);
-      if (locks == WriteLocks::kUpdate) {
-        for (const ChildRef& child : ChildrenOf(table)) {
-          shared.push_back(child.child_table);
-        }
-      }
-      lock.Lock({table}, shared);
-    }
+    lock.LockTable(table, locks);
     Table* t = MutableTable(table);
     if (t == nullptr) {
       return NotFound("no table \"" + table + "\"");
@@ -623,7 +651,7 @@ auto Database::MatchStatement(const std::string& table, const sql::Expr* pred,
                               const sql::ParamMap& params, Emit&& emit) const
     -> std::invoke_result_t<Emit&, const Table&, std::vector<RowId>> {
   TableLock lock(this);
-  lock.Lock({}, {table});
+  lock.LockTable(table, LockKind::kRead);
   auto it = tables_.find(table);
   if (it == tables_.end()) {
     return NotFound("no table \"" + table + "\"");
@@ -635,7 +663,7 @@ auto Database::MatchStatement(const std::string& table, const sql::Expr* pred,
 
 StatusOr<RowId> Database::Insert(const std::string& table, Row row) {
   return RunWriteStatement(
-      table, WriteLocks::kInsert, kNoColumns,
+      table, LockKind::kInsert, kNoColumns,
       [&](TxnState& tx, Table* t, const std::vector<size_t>&) -> StatusOr<RowId> {
         RETURN_IF_ERROR(CheckRowFks(t->schema(), row));
         ASSIGN_OR_RETURN(RowId id, t->Insert(std::move(row)));
@@ -1005,7 +1033,7 @@ StatusOr<bool> Database::ExecuteProbe(const Table& table, const IndexProbe& prob
 StatusOr<std::string> Database::DescribePlan(const std::string& table,
                                              const sql::Expr& pred) const {
   TableLock lock(this);
-  lock.Lock({}, {table});
+  lock.LockTable(table, LockKind::kRead);
   auto it = tables_.find(table);
   if (it == tables_.end()) {
     return NotFound("no table \"" + table + "\"");
@@ -1080,7 +1108,7 @@ StatusOr<size_t> Database::Update(const std::string& table, const sql::Expr* pre
                                   const std::vector<Assignment>& assignments) {
   // The statement the runner counts is the SELECT phase.
   return RunWriteStatement(
-      table, WriteLocks::kUpdate, assignments,
+      table, LockKind::kUpdate, assignments,
       [&](TxnState& tx, Table* t, const std::vector<size_t>& columns) -> StatusOr<size_t> {
         ASSIGN_OR_RETURN(std::vector<RowId> ids, MatchRows(*t, pred, params));
         size_t updated = 0;
@@ -1135,7 +1163,7 @@ Status Database::SetColumnInTxn(TxnState& tx, const std::string& table_name, Tab
     }
     const sql::Value& old = (*row)[col_idx];
     if (!old.SqlEquals(value)) {
-      for (const ChildRef& child : ChildrenOf(table_name)) {
+      for (const ChildRef& child : LinksOf(table_name)->children) {
         if (child.fk.parent_column != col.name) {
           continue;
         }
@@ -1161,7 +1189,7 @@ Status Database::SetColumnInTxn(TxnState& tx, const std::string& table_name, Tab
 StatusOr<size_t> Database::BatchSetColumns(const std::string& table,
                                            std::vector<BatchUpdate> updates) {
   return RunWriteStatement(
-      table, WriteLocks::kUpdate, updates,
+      table, LockKind::kUpdate, updates,
       [&](TxnState& tx, Table* t, const std::vector<size_t>& columns) -> StatusOr<size_t> {
         for (size_t k = 0; k < updates.size(); ++k) {
           RETURN_IF_ERROR(SetColumnInTxn(tx, table, t, updates[k].id, columns[k],
@@ -1175,7 +1203,7 @@ StatusOr<size_t> Database::Delete(const std::string& table, const sql::Expr* pre
                                   const sql::ParamMap& params) {
   // The statement the runner counts is the SELECT phase.
   return RunWriteStatement(
-      table, WriteLocks::kDelete, kNoColumns,
+      table, LockKind::kDelete, kNoColumns,
       [&](TxnState& tx, Table* t, const std::vector<size_t>&) -> StatusOr<size_t> {
         ASSIGN_OR_RETURN(std::vector<RowId> ids, MatchRows(*t, pred, params));
         size_t deleted = 0;
@@ -1211,11 +1239,12 @@ Status Database::DeleteRowInternal(TxnState& tx, const std::string& table, RowId
                                            table.c_str())));
   }
   // Handle children referencing this row before removing it.
+  const std::vector<ChildRef>& children = LinksOf(table)->children;
   const TableSchema& schema = t->schema();
   if (schema.primary_key().size() == 1) {
     const std::string& pk_col = schema.primary_key()[0];
     sql::Value pk_value = (*row_ptr)[static_cast<size_t>(schema.ColumnIndex(pk_col))];
-    for (const ChildRef& child : ChildrenOf(table)) {
+    for (const ChildRef& child : children) {
       Table* ct = MutableTable(child.child_table);
       std::vector<RowId> kids;
       ++stats_.index_lookups;
@@ -1261,7 +1290,7 @@ Status Database::DeleteRowInternal(TxnState& tx, const std::string& table, RowId
         }
       }
     }
-  } else if (!ChildrenOf(table).empty()) {
+  } else if (!children.empty()) {
     return Internal("FK references a composite-PK table \"" + table + "\"");
   }
 
@@ -1276,7 +1305,7 @@ StatusOr<sql::Value> Database::GetColumn(const std::string& table, RowId id,
   sql::Value out;
   {
     TableLock lock(this);
-    lock.Lock({}, {table});
+    lock.LockTable(table, LockKind::kRead);
     auto it = tables_.find(table);
     const Table* t = it == tables_.end() ? nullptr : &it->second;
     if (t == nullptr) {
@@ -1303,7 +1332,7 @@ StatusOr<Row> Database::GetRow(const std::string& table, RowId id) const {
   Row out;
   {
     TableLock lock(this);
-    lock.Lock({}, {table});
+    lock.LockTable(table, LockKind::kRead);
     auto it = tables_.find(table);
     const Table* t = it == tables_.end() ? nullptr : &it->second;
     if (t == nullptr) {
@@ -1324,7 +1353,7 @@ StatusOr<Row> Database::GetRow(const std::string& table, RowId id) const {
 
 bool Database::RowExists(const std::string& table, RowId id) const {
   TableLock lock(this);
-  lock.Lock({}, {table});
+  lock.LockTable(table, LockKind::kRead);
   auto it = tables_.find(table);
   return it != tables_.end() && it->second.Contains(id);
 }
@@ -1337,7 +1366,7 @@ Status Database::SetColumn(const std::string& table, RowId id, const std::string
 }
 
 Status Database::DeleteRow(const std::string& table, RowId id) {
-  return RunWriteStatement(table, WriteLocks::kDelete, kNoColumns,
+  return RunWriteStatement(table, LockKind::kDelete, kNoColumns,
                            [&](TxnState& tx, Table*, const std::vector<size_t>&) {
                              return DeleteRowInternal(tx, table, id, 0);
                            });
@@ -1345,7 +1374,7 @@ Status Database::DeleteRow(const std::string& table, RowId id) {
 
 Status Database::RestoreRow(const std::string& table, RowId id, Row row) {
   return RunWriteStatement(
-      table, WriteLocks::kInsert, kNoColumns,
+      table, LockKind::kInsert, kNoColumns,
       [&](TxnState& tx, Table* t, const std::vector<size_t>&) -> Status {
         // Claimed before the insert (Insert claims after): the id is known up
         // front, so another transaction's live intent on it aborts the
@@ -1386,7 +1415,7 @@ Status Database::EnsureAutoCounterAtLeast(const std::string& table, int64_t v) {
 
 StatusOr<RowId> Database::LookupPk(const std::string& table, const PkKey& key) const {
   TableLock lock(this);
-  lock.Lock({}, {table});
+  lock.LockTable(table, LockKind::kRead);
   auto it = tables_.find(table);
   const Table* t = it == tables_.end() ? nullptr : &it->second;
   if (t == nullptr) {
@@ -1673,6 +1702,7 @@ std::unique_ptr<Database> Database::Snapshot() const {
   lock.LockAllShared();
   auto copy = std::make_unique<Database>();
   copy->schema_ = schema_;
+  copy->links_ = links_;
   for (const auto& [name, table] : tables_) {
     copy->tables_.emplace(name, table.Clone());
   }
@@ -1696,6 +1726,7 @@ StatusOr<std::unique_ptr<Database>> Database::SnapshotForCheckpoint(
   }
   auto copy = std::make_unique<Database>();
   copy->schema_ = schema_;
+  copy->links_ = links_;
   for (const auto& [name, table] : tables_) {
     copy->tables_.emplace(name, table.Clone());
   }

@@ -25,7 +25,9 @@
 // gets kAborted immediately (no blocking, hence no deadlock). Readers are
 // never blocked by intents, so reads are "read committed at best" — the
 // disguise engine's batch workloads partition writes by user, which is what
-// makes this sufficient (see DESIGN.md for the precise claim).
+// makes this sufficient (see DESIGN.md for the precise claim). The stripe
+// sets, like the FK links a cascade follows, are derived once per catalog
+// change, not per statement.
 #ifndef SRC_DB_DATABASE_H_
 #define SRC_DB_DATABASE_H_
 
@@ -405,10 +407,49 @@ class Database {
 
   TxnState& Txn() const;
 
-  // Lock set of a write statement: the table exclusive plus its FK parents
-  // shared (kInsert), plus its FK children shared too (kUpdate: PK-change
-  // checks), or the whole FK delete closure exclusive (kDelete).
-  enum class WriteLocks { kInsert, kUpdate, kDelete };
+  // Lock set of a statement on one table: its own stripe shared (kRead); the
+  // table exclusive plus its FK parents shared (kInsert), plus its FK
+  // children shared too (kUpdate: PK-change checks); or the whole FK delete
+  // closure exclusive (kDelete).
+  enum class LockKind { kRead, kInsert, kUpdate, kDelete };
+
+  // Stripes a statement takes, as ascending (stripe, exclusive) pairs with
+  // each stripe at most once.
+  using LockPlan = std::vector<std::pair<size_t, bool>>;
+
+  // Collapses table names onto a plan; a stripe wanted in both modes is
+  // taken exclusive.
+  static LockPlan BuildLockPlan(const std::vector<std::string>& exclusive,
+                                const std::vector<std::string>& shared);
+
+  // Children referencing a table: (child table name, fk).
+  struct ChildRef {
+    std::string child_table;
+    ForeignKeyDef fk;
+  };
+
+  // A table's FK links and statement lock plans, derived from the catalog
+  // by RebuildLinks. Names and stripes only, so a Snapshot copies them as is.
+  struct TableLinks {
+    // Schema table order, then FK declaration order.
+    std::vector<ChildRef> children;
+    // FK parent tables, in FK declaration order.
+    std::vector<std::string> parents;
+    // Transitive child closure along FK edges, breadth first from the table
+    // itself: the tables a delete may touch through CASCADE / SET NULL.
+    std::vector<std::string> delete_closure;
+    // Indexed by LockKind.
+    std::array<LockPlan, 4> locks;
+  };
+
+  // Recomputes every entry of links_. A new table changes its parents'
+  // children and every ancestor's closure, so entries are never patched one
+  // at a time. Call from DDL while holding catalog_mu_ exclusively.
+  void RebuildLinks();
+
+  // The entry of `table`, or nullptr for a table missing from the catalog.
+  // Entries stay in place while the caller holds the catalog lock.
+  const TableLinks* LinksOf(const std::string& table) const;
 
   // The protocol every DML entry point runs: take the lock set; resolve
   // `table` and the column of each of `targets` (objects with a `column`
@@ -418,7 +459,7 @@ class Database {
   // wait for WAL durability and sweep the page cache. `body` returns Status
   // or StatusOr<T>, and so does the runner.
   template <typename Targets, typename Body>
-  auto RunWriteStatement(const std::string& table, WriteLocks locks, const Targets& targets,
+  auto RunWriteStatement(const std::string& table, LockKind locks, const Targets& targets,
                          Body&& body)
       -> std::invoke_result_t<Body&, TxnState&, Table*, const std::vector<size_t>&>;
 
@@ -432,20 +473,6 @@ class Database {
       -> std::invoke_result_t<Emit&, const Table&, std::vector<RowId>>;
 
   Table* MutableTable(const std::string& name);
-
-  // Children referencing `parent_table`: (child table name, fk).
-  struct ChildRef {
-    std::string child_table;
-    ForeignKeyDef fk;
-  };
-  std::vector<ChildRef> ChildrenOf(const std::string& parent_table) const;
-
-  // Transitive child closure of `table` along FK edges (tables a delete in
-  // `table` may touch through CASCADE / SET NULL), including `table` itself.
-  std::vector<std::string> DeleteClosure(const std::string& table) const;
-
-  // FK parent tables of `table` (read during FK checks on writes).
-  std::vector<std::string> ParentTables(const std::string& table) const;
 
   // FK existence check for one value (non-NULL) against the parent table.
   Status CheckFkTarget(const ForeignKeyDef& fk, const sql::Value& v) const;
@@ -527,21 +554,29 @@ class Database {
 
   static size_t StripeOf(const std::string& table);
 
-  // RAII statement lock: catalog shared + the stripes covering the named
-  // tables, exclusive/shared as requested, acquired in ascending stripe
-  // order. Construct, then call Lock() exactly once (the two-phase shape
-  // lets the lock-set computation read the catalog safely).
+  // RAII statement lock: catalog shared + the stripes of a lock plan,
+  // acquired in ascending stripe order. Construct, then call one Lock*
+  // exactly once (the two-phase shape lets the lock-set lookup read the
+  // catalog safely).
   class TableLock {
    public:
     explicit TableLock(const Database* db);
     ~TableLock();
+    // Takes `table`'s plan of `kind`. A table missing from the catalog gets
+    // only its own stripe (exclusive unless kRead).
+    void LockTable(const std::string& table, LockKind kind);
+    // Builds a plan for an arbitrary set of tables and takes it.
     void Lock(const std::vector<std::string>& exclusive,
               const std::vector<std::string>& shared);
     void LockAllShared();     // CheckIntegrity / Snapshot / TotalRows
 
    private:
+    // The one acquisition loop. `plan` must outlive this lock.
+    void Acquire(const LockPlan& plan);
+
     const Database* db_;
-    std::vector<std::pair<size_t, bool>> held_;  // (stripe, exclusive), ascending
+    LockPlan built_;                  // a plan Lock built, when not an entry's
+    const LockPlan* held_ = nullptr;  // the plan taken
   };
 
   // Counts one logical statement (global atomic + calling thread's counter).
@@ -552,6 +587,8 @@ class Database {
 
   Schema schema_;
   std::map<std::string, Table> tables_;
+  // One entry per catalog table; rebuilt whole by RebuildLinks.
+  std::unordered_map<std::string, TableLinks> links_;
   mutable DbStats stats_;
 
   // Lock hierarchy (acquire strictly downward):

@@ -3,6 +3,10 @@
 // disguise's Remove / Modify / Decorrelate, plus the disguise log itself.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "src/apps/hotcrp/disguises.h"
 #include "src/apps/hotcrp/generator.h"
 #include "src/common/clock.h"
@@ -224,6 +228,106 @@ TEST_F(RevealPathsTest, PlaceholderKeptWhenStillReferenced) {
   auto revealed = engine_->Reveal(scrub->disguise_id);
   ASSERT_TRUE(revealed.ok()) << revealed.status();
   EXPECT_EQ(CountFor("PaperReview", uid), 0u);  // ConfAnon still hides them
+  EXPECT_TRUE(db_.CheckIntegrity().ok());
+}
+
+// --- Reveal records that no longer fit the schema -----------------------------------
+
+// Every application table's rows with their ids (engine tables excluded).
+std::string DumpApplicationTables(const db::Database& db) {
+  std::string out;
+  for (const db::TableSchema& ts : db.schema().tables()) {
+    if (ts.name().rfind("__edna", 0) == 0) {
+      continue;
+    }
+    auto rows = db.SelectRowsWithIds(ts.name(), nullptr, {});
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    out += ts.name();
+    for (const auto& [id, row] : *rows) {
+      out += " " + std::to_string(id) + ":";
+      for (const Value& v : row) {
+        out += v.ToSqlString() + ",";
+      }
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST_F(RevealPathsTest, RecordSchemaMismatchFailsWithoutRetryOrChange) {
+  struct Case {
+    const char* what;
+    // Edits one op of the record; false if the record has no op to edit.
+    std::function<bool(vault::RevealRecord&)> tamper;
+    StatusCode want;
+    const char* message_names;
+  };
+  const std::vector<Case> cases = {
+      {"unknown table",
+       [](vault::RevealRecord& rec) {
+         if (rec.ops.empty()) {
+           return false;
+         }
+         rec.ops.front().table = "Ghost";
+         return true;
+       },
+       StatusCode::kInternal, "\"Ghost\""},
+      // Not kAborted: a conflict status would make the batch executor retry
+      // a record that can never apply.
+      {"unknown column",
+       [](vault::RevealRecord& rec) {
+         for (vault::RevealOp& op : rec.ops) {
+           if (op.kind == vault::RevealOp::Kind::kRestoreColumn) {
+             op.column = "ghost";
+             return true;
+           }
+         }
+         return false;
+       },
+       StatusCode::kInternal, "\"ghost\""},
+      {"row wider than the schema",
+       [](vault::RevealRecord& rec) {
+         for (vault::RevealOp& op : rec.ops) {
+           if (op.kind == vault::RevealOp::Kind::kRestoreRow) {
+             op.row.push_back(Value::Int(1));
+             return true;
+           }
+         }
+         return false;
+       },
+       StatusCode::kFailedPrecondition, "wider"},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    SCOPED_TRACE(c.what);
+    auto applied =
+        engine_->ApplyForUser(hotcrp::kGdprPlusName, Value::Int(gen_.pc_contact_ids[i]));
+    ASSERT_TRUE(applied.ok()) << applied.status();
+    const uint64_t id = applied->disguise_id;
+    auto records = vault_.FetchForDisguise(id);
+    ASSERT_TRUE(records.ok()) << records.status();
+    ASSERT_TRUE(vault_.Remove(id).ok());
+    bool tampered = false;
+    for (vault::RevealRecord& rec : *records) {
+      tampered = tampered || c.tamper(rec);
+      ASSERT_TRUE(vault_.Store(rec).ok());
+    }
+    ASSERT_TRUE(tampered);
+    const std::string before = DumpApplicationTables(db_);
+
+    auto revealed = engine_->Reveal(id);
+    EXPECT_EQ(revealed.status().code(), c.want) << revealed.status();
+    EXPECT_NE(revealed.status().message().find(c.message_names), std::string::npos)
+        << revealed.status();
+    EXPECT_EQ(DumpApplicationTables(db_), before);
+    EXPECT_FALSE(db_.InTransaction());
+    const LogEntry* entry = engine_->log().Find(id);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_TRUE(entry->active);
+    auto kept = vault_.FetchForDisguise(id);
+    ASSERT_TRUE(kept.ok()) << kept.status();
+    EXPECT_EQ(kept->size(), records->size());
+  }
   EXPECT_TRUE(db_.CheckIntegrity().ok());
 }
 

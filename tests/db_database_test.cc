@@ -657,6 +657,68 @@ TEST_F(DatabaseTest, SnapshotIsDeepCopy) {
   EXPECT_EQ(*snap->GetColumn("users", *id, "id"), Value::Int(2));
 }
 
+// A delete follows the FK links of the catalog as it stands at the
+// statement: children created after the parent is already in use get their
+// delete actions, and a snapshot keeps the links of the catalog it copied.
+TEST_F(DatabaseTest, DeleteFollowsChildrenCreatedLater) {
+  ColumnDef id;  // INT NOT NULL AUTO_INCREMENT
+  id.name = "id";
+  id.nullable = false;
+  id.auto_increment = true;
+  ColumnDef org_id;  // INT NULL
+  org_id.name = "org_id";
+  TableSchema org("org");
+  org.AddColumn(id).SetPrimaryKey({"id"});
+  ASSERT_TRUE(db_.CreateTable(std::move(org)).ok());
+  auto child = [&](const std::string& name, FkAction on_delete) {
+    TableSchema t(name);
+    t.AddColumn(id)
+        .AddColumn(org_id)
+        .SetPrimaryKey({"id"})
+        .AddForeignKey({.column = "org_id", .parent_table = "org", .parent_column = "id",
+                        .on_delete = on_delete});
+    return t;
+  };
+  auto add_row = [](Database& db, const std::string& table, int64_t org_id) {
+    ASSERT_TRUE(db.InsertValues(table, {{"org_id", Value::Int(org_id)}}).ok());
+  };
+  auto lookups_of = [](Database& db, RowId id, StatusCode want) {
+    const uint64_t before = db.stats().index_lookups;
+    EXPECT_EQ(db.DeleteRow("org", id).code(), want) << "org row " << id;
+    return db.stats().index_lookups - before;
+  };
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(db_.Insert("org", {Value::Null()}).ok());
+  }
+  // The parent's links are in use before any child exists.
+  EXPECT_EQ(lookups_of(db_, 1, StatusCode::kOk), 0u);
+
+  ASSERT_TRUE(db_.CreateTable(child("org_restrict", FkAction::kRestrict)).ok());
+  ASSERT_TRUE(db_.CreateTable(child("org_cascade", FkAction::kCascade)).ok());
+  ASSERT_TRUE(db_.CreateTable(child("org_setnull", FkAction::kSetNull)).ok());
+  add_row(db_, "org_cascade", 2);
+  add_row(db_, "org_setnull", 2);
+  add_row(db_, "org_restrict", 3);
+  EXPECT_EQ(lookups_of(db_, 2, StatusCode::kOk), 3u);
+  EXPECT_EQ(db_.FindTable("org_cascade")->num_rows(), 0u);
+  EXPECT_EQ(*db_.GetColumn("org_setnull", 1, "org_id"), Value::Null());
+  // Children are probed in creation order, so the RESTRICT child stops the
+  // delete at the first probe.
+  EXPECT_EQ(lookups_of(db_, 3, StatusCode::kIntegrityViolation), 1u);
+  EXPECT_TRUE(db_.RowExists("org", 3));
+
+  std::unique_ptr<Database> copy = db_.Snapshot();
+  ASSERT_TRUE(db_.CreateTable(child("org_late", FkAction::kRestrict)).ok());
+  add_row(db_, "org_late", 4);
+  EXPECT_EQ(lookups_of(db_, 4, StatusCode::kIntegrityViolation), 4u);
+  EXPECT_TRUE(db_.RowExists("org", 4));
+  EXPECT_EQ(lookups_of(db_, 5, StatusCode::kOk), 4u);
+  EXPECT_FALSE(copy->HasTable("org_late"));
+  EXPECT_EQ(lookups_of(*copy, 4, StatusCode::kOk), 3u);
+  EXPECT_TRUE(db_.CheckIntegrity().ok());
+  EXPECT_TRUE(copy->CheckIntegrity().ok());
+}
+
 TEST_F(DatabaseTest, TotalRowsSumsTables) {
   AddUser("bea");
   AddPost(1, "p");
