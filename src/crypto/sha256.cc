@@ -1,5 +1,6 @@
 #include "src/crypto/sha256.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -81,18 +82,27 @@ void Sha256::ProcessBlock(const uint8_t block[kSha256BlockSize]) {
 
 void Sha256::Update(const uint8_t* data, size_t len) {
   assert(!finished_);
+  if (len == 0) {
+    return;
+  }
   bit_count_ += static_cast<uint64_t>(len) * 8;
-  while (len > 0) {
+  if (buffer_len_ > 0) {
     size_t take = std::min(len, kSha256BlockSize - buffer_len_);
     std::memcpy(buffer_ + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == kSha256BlockSize) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
+    if (buffer_len_ < kSha256BlockSize) {
+      return;
     }
+    ProcessBlock(buffer_);
   }
+  // Whole blocks straight from the caller's buffer; only the tail is copied.
+  for (; len >= kSha256BlockSize; data += kSha256BlockSize, len -= kSha256BlockSize) {
+    ProcessBlock(data);
+  }
+  std::memcpy(buffer_, data, len);
+  buffer_len_ = len;
 }
 
 void Sha256::Update(std::string_view data) {
@@ -103,23 +113,21 @@ void Sha256::Update(const std::vector<uint8_t>& data) { Update(data.data(), data
 
 Sha256Digest Sha256::Finish() {
   assert(!finished_);
-  finished_ = true;
-  uint64_t bits = bit_count_;
-  // Padding: 0x80, zeros, 64-bit big-endian length.
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  bit_count_ -= 8;  // Update counted the pad byte; undo
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
-    bit_count_ -= 8;
+  // Padding: 0x80, zeros, 64-bit big-endian length, written into buffer_
+  // directly (one extra block when the length no longer fits).
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kSha256BlockSize - 8) {
+    std::memset(buffer_ + buffer_len_, 0, kSha256BlockSize - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  uint8_t len_be[8];
+  std::memset(buffer_ + buffer_len_, 0, kSha256BlockSize - 8 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bits >> (56 - 8 * i));
+    buffer_[kSha256BlockSize - 8 + i] = static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
   }
-  Update(len_be, 8);
-  assert(buffer_len_ == 0);
+  ProcessBlock(buffer_);
+  buffer_len_ = 0;
+  finished_ = true;
 
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) {

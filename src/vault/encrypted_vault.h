@@ -8,12 +8,21 @@
 // Keys may additionally be escrowed via 2-of-3 secret sharing (crypto/key.h)
 // so a lost user key is recoverable with user+app, user+third-party, or
 // app+third-party cooperation.
+//
+// The vault is shared by BatchExecutor workers (perfbench mass_deletion runs
+// it under four), so the crypto stays out of its critical section: mu_
+// guards only the entry list, the fingerprints and the nonce rng. Key
+// resolution (which may wait on a user's approval), subkey derivation,
+// sealing, opening and record decoding run outside it, and one owner's slow
+// KeyProvider never stalls another owner's stores and fetches.
 #ifndef SRC_VAULT_ENCRYPTED_VAULT_H_
 #define SRC_VAULT_ENCRYPTED_VAULT_H_
 
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "src/common/rng.h"
@@ -24,7 +33,9 @@
 namespace edna::vault {
 
 // Returns the vault key for `uid`, or kPermissionDenied if the user (or
-// their escrow quorum) declines / is unavailable.
+// their escrow quorum) declines / is unavailable. Runs outside the vault's
+// lock, possibly on several threads at once, and may call back into the
+// vault.
 using KeyProvider = std::function<StatusOr<std::vector<uint8_t>>(const sql::Value& uid)>;
 
 class EncryptedVault : public Vault {
@@ -37,11 +48,12 @@ class EncryptedVault : public Vault {
 
   // Registers a user's key fingerprint (the key itself is never stored).
   void RegisterUser(const sql::Value& uid, const std::string& fingerprint);
-  const std::string* FindFingerprint(const sql::Value& uid) const;
+  // A copy: another thread may re-register `uid` once the lock is released.
+  std::optional<std::string> FindFingerprint(const sql::Value& uid) const;
 
-  // StoreBatch and the fetch loops derive each owner key's enc/MAC subkey
-  // pair once (crypto::SealKeys) and reuse it across that owner's records.
-  // Output bytes match a Store loop exactly.
+  // Store is StoreBatch of one record. StoreBatch and the fetch loops derive
+  // each owner key's enc/MAC subkey pair once (crypto::SealKeys) and reuse it
+  // across that owner's records. Output bytes match a Store loop exactly.
   Status Store(const RevealRecord& record) override;
   Status StoreBatch(const std::vector<RevealRecord>& records) override;
   StatusOr<std::vector<RevealRecord>> FetchForUser(const sql::Value& uid) override;
@@ -63,20 +75,22 @@ class EncryptedVault : public Vault {
     crypto::SealedBox box;
   };
 
-  StatusOr<std::vector<uint8_t>> KeyFor(const sql::Value& uid);
   static std::string RenderOwner(const sql::Value& uid);
-  // Seals one record under pre-derived keys and appends it; caller holds mu_
-  // and has run the vault.store fail point and resolved the owner's key.
-  void SealAndAppend(const RevealRecord& record, const crypto::SealKeys& keys);
+  std::optional<std::string> FingerprintLocked(const sql::Value& uid) const;
+  // The key sealing `uid`'s records: the app key for global records, else
+  // the KeyProvider's key, checked against `fingerprint` (the one registered
+  // for `uid`, copied under mu_) when there is one. Called without mu_.
+  StatusOr<std::vector<uint8_t>> ResolveKey(const sql::Value& uid,
+                                            const std::optional<std::string>& fingerprint) const;
+  // Runs the fail point, resolves keys and seals outside mu_; takes it to
+  // copy fingerprints, to draw nonces in record order, and to append.
+  Status StoreRecords(std::span<const RevealRecord> records);
+  // Opens an entry copied out from under mu_.
   StatusOr<RevealRecord> OpenEntry(const Entry& e, const crypto::SealKeys& keys);
-  const std::string* FindFingerprintLocked(const sql::Value& uid) const;
 
-  std::vector<uint8_t> app_key_;
-  KeyProvider keys_;
-  // One mutex guards entries_, fingerprints_, and the nonce rng. Crypto runs
-  // under the lock: this backend models the per-user-approval deployment and
-  // is not on the parallel-batch fast path (OfflineVault is); the KeyProvider
-  // callback must not call back into the vault.
+  const std::vector<uint8_t> app_key_;
+  const KeyProvider keys_;
+  // Guards entries_, fingerprints_ and the nonce rng, nothing else.
   mutable std::mutex mu_;
   Rng rng_;
   std::map<std::string, std::string> fingerprints_;  // rendered uid -> fp

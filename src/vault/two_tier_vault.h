@@ -1,13 +1,17 @@
-// Two-tier vault: the multi-tier design sketched in §4.2. Reveal records of
-// global (non-user-invoked) disguises such as ConfAnon go to a first-tier
-// vault freely accessible to the disguising tool; records of user-invoked
-// disguises go to a second-tier per-user (typically encrypted) vault. This
-// keeps complete reversal of a global disguise feasible while keeping user
-// data under user-held keys.
+// Two-tier vault: the multi-tier design sketched in §4.2. Records route by
+// owner. Ownerless records go to a first-tier vault freely accessible to the
+// disguising tool; owned records go to a second-tier per-user (typically
+// encrypted) vault. A user-invoked disguise stores one owned record. A
+// global disguise such as ConfAnon stores one shard per owner, which land
+// in the user tier (that is what lets a later per-user disguise compose by
+// reading one user's records), then its ownerless remainder, which lands in
+// the global tier. Reversing a global disguise therefore reads both tiers,
+// and the owner shards' reversal needs their owners' keys.
 #ifndef SRC_VAULT_TWO_TIER_VAULT_H_
 #define SRC_VAULT_TWO_TIER_VAULT_H_
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 
 #include "src/vault/vault.h"
@@ -39,14 +43,15 @@ class TwoTierVault : public Vault {
 
   StatusOr<std::vector<RevealRecord>> FetchForDisguise(uint64_t disguise_id) override {
     ++stats_.fetches;
-    // A disguise application writes to exactly one tier; probe global first
-    // (cheap), then the user tier.
+    // Store order: a global disguise's owner shards (user tier) come before
+    // its ownerless remainder (global tier).
+    ASSIGN_OR_RETURN(std::vector<RevealRecord> records,
+                     user_tier_->FetchForDisguise(disguise_id));
     ASSIGN_OR_RETURN(std::vector<RevealRecord> global,
                      global_tier_->FetchForDisguise(disguise_id));
-    if (!global.empty()) {
-      return global;
-    }
-    return user_tier_->FetchForDisguise(disguise_id);
+    records.insert(records.end(), std::make_move_iterator(global.begin()),
+                   std::make_move_iterator(global.end()));
+    return records;
   }
 
   StatusOr<std::vector<RevealRecord>> FetchGlobal() override {

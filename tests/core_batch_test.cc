@@ -9,7 +9,8 @@
 //    rather than from a shared stream),
 //  * per-user FIFO: a reveal submitted after its apply always finds the
 //    active disguise, even with every worker racing.
-// Runs under the tsan preset (BatchTest).
+// The oracle test runs over the offline and the encrypted vault. Runs under
+// the tsan preset (BatchTest).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -21,6 +22,7 @@
 #include "src/core/engine.h"
 #include "src/db/database.h"
 #include "src/disguise/spec_parser.h"
+#include "src/vault/encrypted_vault.h"
 #include "src/vault/offline_vault.h"
 
 namespace edna::core {
@@ -127,18 +129,37 @@ table notes:
     Decorrelate(pred: TRUE, foreign_key: ("user_id", users))
 )";
 
+// The vaults the oracle test runs over: OfflineVault, and EncryptedVault,
+// which seals, opens and removes under concurrent workers.
+enum class VaultKind { kOffline, kEncrypted };
+
+const char* VaultKindName(VaultKind kind) {
+  return kind == VaultKind::kOffline ? "offline" : "encrypted";
+}
+
+std::unique_ptr<vault::Vault> MakeVault(VaultKind kind) {
+  if (kind == VaultKind::kOffline) {
+    return std::make_unique<vault::OfflineVault>();
+  }
+  vault::KeyProvider keys = [](const Value& uid) -> StatusOr<std::vector<uint8_t>> {
+    return std::vector<uint8_t>(32, static_cast<uint8_t>(uid.is_int() ? uid.AsInt() : 1));
+  };
+  return std::make_unique<vault::EncryptedVault>(std::vector<uint8_t>(32, 0x42), keys, Rng(7));
+}
+
 struct World {
   db::Database db;
-  vault::OfflineVault vault;
+  std::unique_ptr<vault::Vault> vault;
   SimulatedClock clock{1000};
   std::unique_ptr<DisguiseEngine> engine;
 
-  explicit World(int num_users, uint64_t seed = 0x5eed) {
+  explicit World(int num_users, VaultKind vault_kind = VaultKind::kOffline)
+      : vault(MakeVault(vault_kind)) {
     BuildSchema(&db);
     EngineOptions options;
     options.deterministic_rng = true;
-    options.rng_seed = seed;
-    engine = std::make_unique<DisguiseEngine>(&db, &vault, &clock, options);
+    options.rng_seed = 0x5eed;
+    engine = std::make_unique<DisguiseEngine>(&db, vault.get(), &clock, options);
     for (const char* text :
          {kScrubSpec, kRedactNotesSpec, kScrubCountedSpec, kAnonAllSpec}) {
       auto spec = disguise::ParseDisguiseSpec(text);
@@ -223,66 +244,72 @@ std::vector<BatchTask> MixedTasks(int num_users) {
 
 // Headline: 8 workers x 200 users, applies interleaved with reveals, zero
 // failures, clean audit, and a final database bit-identical to the serial
-// replay oracle.
+// replay oracle. Run over each vault in the table: RedactNotes composes on
+// Scrub (a fetch by owner), and reveals fetch by disguise and remove, so the
+// encrypted vault seals, opens and removes concurrently.
 TEST(BatchTest, ParallelBatchMatchesSerialReplayOracle) {
   constexpr int kUsers = 200;
   const std::vector<BatchTask> tasks = MixedTasks(kUsers);
 
-  World parallel(kUsers);
-  {
-    BatchOptions options;
-    options.num_threads = 8;
-    BatchExecutor executor(parallel.engine.get(), options);
+  for (VaultKind kind : {VaultKind::kOffline, VaultKind::kEncrypted}) {
+    SCOPED_TRACE(std::string("vault: ") + VaultKindName(kind));
+    World parallel(kUsers, kind);
+    {
+      BatchOptions options;
+      options.num_threads = 8;
+      BatchExecutor executor(parallel.engine.get(), options);
+      for (const BatchTask& t : tasks) {
+        executor.Submit(t);
+      }
+      BatchReport report = executor.Drain();
+      EXPECT_EQ(report.submitted, tasks.size());
+      EXPECT_EQ(report.failed, 0u) << report.ToString();
+      EXPECT_EQ(report.succeeded, tasks.size());
+      EXPECT_FALSE(report.halted);
+      EXPECT_GT(report.queries, 0u);
+      for (const BatchTaskResult& r : report.results) {
+        EXPECT_TRUE(r.status.ok())
+            << "task " << r.index << " (" << r.task.spec_name << ", uid "
+            << r.task.uid.ToSqlString() << "): " << r.status;
+      }
+    }
+    ExpectAuditClean(&parallel, "after parallel batch");
+    ASSERT_TRUE(parallel.db.CheckIntegrity().ok());
+
+    // Serial oracle: same seed, same tasks, one at a time in submission
+    // order. Per-user tasks commute across users under deterministic_rng
+    // (placeholder keys and generated values depend only on (seed, spec,
+    // uid, invocation)), and within one user the executor's FIFO routing
+    // preserves submission order — so this serial execution must land on
+    // the identical state.
+    World serial(kUsers, kind);
     for (const BatchTask& t : tasks) {
-      executor.Submit(t);
+      if (t.kind == BatchTask::Kind::kApply) {
+        auto r = serial.engine->ApplyForUser(t.spec_name, t.uid);
+        ASSERT_TRUE(r.ok()) << t.spec_name << " uid " << t.uid.ToSqlString() << ": "
+                            << r.status();
+      } else {
+        auto entry = serial.engine->log().LatestActiveFor(t.spec_name, t.uid);
+        ASSERT_TRUE(entry.has_value());
+        auto r = serial.engine->Reveal(entry->id);
+        ASSERT_TRUE(r.ok()) << r.status();
+      }
     }
-    BatchReport report = executor.Drain();
-    EXPECT_EQ(report.submitted, tasks.size());
-    EXPECT_EQ(report.failed, 0u) << report.ToString();
-    EXPECT_EQ(report.succeeded, tasks.size());
-    EXPECT_FALSE(report.halted);
-    EXPECT_GT(report.queries, 0u);
-    for (const BatchTaskResult& r : report.results) {
-      EXPECT_TRUE(r.status.ok())
-          << "task " << r.index << " (" << r.task.spec_name << ", uid "
-          << r.task.uid.ToSqlString() << "): " << r.status;
+    ExpectAuditClean(&serial, "after serial replay");
+
+    auto parallel_fp = Fingerprint(&parallel.db);
+    auto serial_fp = Fingerprint(&serial.db);
+    ASSERT_EQ(parallel_fp.size(), serial_fp.size());
+    for (const auto& [table, rows] : serial_fp) {
+      EXPECT_EQ(parallel_fp[table], rows)
+          << "table \"" << table << "\" diverged from the serial oracle";
     }
-  }
-  ExpectAuditClean(&parallel, "after parallel batch");
-  ASSERT_TRUE(parallel.db.CheckIntegrity().ok());
 
-  // Serial oracle: same seed, same tasks, one at a time in submission order.
-  // Per-user tasks commute across users under deterministic_rng (placeholder
-  // keys and generated values depend only on (seed, spec, uid, invocation)),
-  // and within one user the executor's FIFO routing preserves submission
-  // order — so this serial execution must land on the identical state.
-  World serial(kUsers);
-  for (const BatchTask& t : tasks) {
-    if (t.kind == BatchTask::Kind::kApply) {
-      auto r = serial.engine->ApplyForUser(t.spec_name, t.uid);
-      ASSERT_TRUE(r.ok()) << t.spec_name << " uid " << t.uid.ToSqlString() << ": "
-                          << r.status();
-    } else {
-      auto entry = serial.engine->log().LatestActiveFor(t.spec_name, t.uid);
-      ASSERT_TRUE(entry.has_value());
-      auto r = serial.engine->Reveal(entry->id);
-      ASSERT_TRUE(r.ok()) << r.status();
-    }
+    // Same amount of disguising happened (ids differ by interleaving; the
+    // per-(spec,user) active counts may not).
+    EXPECT_EQ(parallel.engine->log().size(), serial.engine->log().size());
+    EXPECT_EQ(parallel.vault->NumRecords(), serial.vault->NumRecords());
   }
-  ExpectAuditClean(&serial, "after serial replay");
-
-  auto parallel_fp = Fingerprint(&parallel.db);
-  auto serial_fp = Fingerprint(&serial.db);
-  ASSERT_EQ(parallel_fp.size(), serial_fp.size());
-  for (const auto& [table, rows] : serial_fp) {
-    EXPECT_EQ(parallel_fp[table], rows)
-        << "table \"" << table << "\" diverged from the serial oracle";
-  }
-
-  // Same amount of disguising happened (ids differ by interleaving; the
-  // per-(spec,user) active counts may not).
-  EXPECT_EQ(parallel.engine->log().size(), serial.engine->log().size());
-  EXPECT_EQ(parallel.vault.NumRecords(), serial.vault.NumRecords());
 }
 
 // Per-user FIFO: an apply+reveal pair per user, all racing across 8 workers.
@@ -308,7 +335,7 @@ TEST(BatchTest, PerUserFifoKeepsApplyBeforeReveal) {
 
   auto after = Fingerprint(&w.db);
   EXPECT_EQ(before, after) << "apply+reveal did not round-trip the database";
-  EXPECT_EQ(w.vault.NumRecords(), 0u);
+  EXPECT_EQ(w.vault->NumRecords(), 0u);
 }
 
 // Write-write conflicts: every ScrubCounted apply updates the one shared
@@ -387,7 +414,7 @@ TEST(BatchTest, BackpressureAndExecutorReuse) {
   ExpectAuditClean(&w, "after batch 2 (reveals)");
 
   EXPECT_EQ(Fingerprint(&w.db), before);
-  EXPECT_EQ(w.vault.NumRecords(), 0u);
+  EXPECT_EQ(w.vault->NumRecords(), 0u);
 }
 
 // Error reporting: unknown specs and reveals of never-disguised users fail

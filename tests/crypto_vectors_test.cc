@@ -8,10 +8,13 @@
 //     encrypt-then-MAC construction) against RFC 4231,
 //   - SHA-256 against the FIPS 180-4 / NIST CAVP short+long messages.
 // Plus batching equivalence: the multi-block keystream path, SealWith and
-// OpenWith must be byte-identical to their one-shot forms.
+// OpenWith must be byte-identical to their one-shot forms, and SHA-256 fed in
+// arbitrary pieces must match SHA-256 fed one byte at a time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -212,6 +215,46 @@ TEST(Sha256Vectors, MillionA) {
   }
   EXPECT_EQ(DigestToHex(h.Finish()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// Sha256::Update compresses whole blocks straight from the caller's buffer
+// and copies only a partial head and tail; fed one byte at a time, every
+// byte goes through the block buffer instead. The one-shot digest and random
+// splits (empty pieces included) must match the byte-at-a-time digest at
+// every length from empty to four blocks and a byte, and at the size of a
+// sealed GDPR reveal record, so the head, whole-block and tail paths all
+// meet block boundaries.
+TEST(Sha256Vectors, UpdateSplitsMatchByteAtATime) {
+  std::mt19937 rng(180);
+  std::vector<size_t> lens;
+  for (size_t len = 0; len <= 4 * kSha256BlockSize + 1; ++len) {
+    lens.push_back(len);
+  }
+  lens.push_back(3456);
+  for (size_t len : lens) {
+    std::vector<uint8_t> msg(len);
+    for (uint8_t& b : msg) {
+      b = static_cast<uint8_t>(rng());
+    }
+    Sha256 bytewise;
+    for (uint8_t b : msg) {
+      bytewise.Update(&b, 1);
+    }
+    const Sha256Digest want = bytewise.Finish();
+    EXPECT_EQ(Sha256::Hash(msg), want) << "len=" << len;
+    for (int trial = 0; trial < 8; ++trial) {
+      Sha256 h;
+      std::string cuts;
+      for (size_t at = 0; at < len;) {
+        size_t most = std::min<size_t>(len - at, 150);
+        size_t take = std::uniform_int_distribution<size_t>(0, most)(rng);
+        h.Update(msg.data() + at, take);
+        at += take;
+        cuts += std::to_string(take) + " ";
+      }
+      EXPECT_EQ(h.Finish(), want) << "len=" << len << " pieces: " << cuts;
+    }
+  }
 }
 
 // SealWith / OpenWith with pre-derived keys must be byte-identical to the

@@ -3,12 +3,20 @@
 // outcomes and referential integrity after every step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "src/apps/hotcrp/disguises.h"
 #include "src/apps/hotcrp/generator.h"
 #include "src/common/clock.h"
 #include "src/core/engine.h"
 #include "src/sql/parser.h"
+#include "src/vault/encrypted_vault.h"
+#include "src/vault/offline_vault.h"
 #include "src/vault/table_vault.h"
+#include "src/vault/two_tier_vault.h"
 
 namespace edna {
 namespace {
@@ -56,6 +64,31 @@ class HotCrpIntegrationTest : public ::testing::Test {
   }
 
   int64_t AnyPcMember() { return gen_.pc_contact_ids[2]; }
+
+  // Table name -> sorted rendered rows of every application table (the
+  // engine's reserved tables, vault and disguise-log mirror, excluded).
+  static std::map<std::string, std::vector<std::string>> Contents(db::Database* db) {
+    std::map<std::string, std::vector<std::string>> out;
+    for (const db::TableSchema& ts : db->schema().tables()) {
+      if (ts.name().rfind("__edna", 0) == 0) {
+        continue;
+      }
+      auto rows = db->SelectRows(ts.name(), nullptr, {});
+      EXPECT_TRUE(rows.ok()) << ts.name() << ": " << rows.status();
+      std::vector<std::string>& reps = out[ts.name()];
+      if (rows.ok()) {
+        for (const db::Row& row : *rows) {
+          std::string rep;
+          for (const Value& v : row) {
+            rep += v.ToSqlString() + "|";
+          }
+          reps.push_back(std::move(rep));
+        }
+      }
+      std::sort(reps.begin(), reps.end());
+    }
+    return out;
+  }
 
   db::Database db_;
   hotcrp::Generated gen_;
@@ -135,6 +168,54 @@ TEST_F(HotCrpIntegrationTest, ConfAnonDecorrelatesEverything) {
     EXPECT_EQ(CountWhere("PaperReview", "contactId", uid), 0u);
   }
   EXPECT_TRUE(db_.CheckIntegrity().ok());
+}
+
+// ConfAnon stores one reveal shard per owner plus an ownerless remainder.
+// Applied and revealed, it must restore every application table exactly,
+// whichever vault model holds those records (the two-tier vault keeps the
+// shards in its encrypted user tier and the remainder in its global tier).
+TEST_F(HotCrpIntegrationTest, ConfAnonRoundTripIsExactOverEveryVault) {
+  vault::KeyProvider keys = [](const Value& uid) -> StatusOr<std::vector<uint8_t>> {
+    return std::vector<uint8_t>(32, static_cast<uint8_t>(uid.is_int() ? uid.AsInt() : 1));
+  };
+  const auto before = Contents(&db_);
+  for (const char* model : {"table", "offline", "encrypted", "two_tier"}) {
+    SCOPED_TRACE(std::string("vault: ") + model);
+    std::unique_ptr<db::Database> db = db_.Snapshot();
+    std::unique_ptr<vault::Vault> vault;
+    if (std::string(model) == "table") {
+      auto table = vault::TableVault::Create(db.get());
+      ASSERT_TRUE(table.ok()) << table.status();
+      vault = std::move(*table);
+    } else if (std::string(model) == "offline") {
+      vault = std::make_unique<vault::OfflineVault>();
+    } else if (std::string(model) == "encrypted") {
+      vault = std::make_unique<vault::EncryptedVault>(std::vector<uint8_t>(32, 0x42), keys,
+                                                      Rng(1));
+    } else {
+      vault = std::make_unique<vault::TwoTierVault>(
+          std::make_unique<vault::OfflineVault>(),
+          std::make_unique<vault::EncryptedVault>(std::vector<uint8_t>(32, 0x42), keys,
+                                                  Rng(2)));
+    }
+    DisguiseEngine engine(db.get(), vault.get(), &clock_);
+    auto conf_anon = hotcrp::ConfAnonSpec();
+    ASSERT_TRUE(conf_anon.ok()) << conf_anon.status();
+    ASSERT_TRUE(engine.RegisterSpec(*std::move(conf_anon)).ok());
+
+    auto applied = engine.Apply(hotcrp::kConfAnonName, {});
+    ASSERT_TRUE(applied.ok()) << applied.status();
+    ASSERT_NE(Contents(db.get()), before);
+    auto revealed = engine.Reveal(applied->disguise_id);
+    ASSERT_TRUE(revealed.ok()) << revealed.status();
+
+    auto after = Contents(db.get());
+    for (const auto& [table, rows] : before) {
+      EXPECT_EQ(after[table], rows) << "table \"" << table << "\" not restored";
+    }
+    EXPECT_EQ(vault->NumRecords(), 0u);
+    EXPECT_TRUE(db->CheckIntegrity().ok());
+  }
 }
 
 TEST_F(HotCrpIntegrationTest, GdprPlusComposesAfterConfAnon) {

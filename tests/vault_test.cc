@@ -2,6 +2,12 @@
 // and all four deployment backends (table, offline, encrypted, two-tier).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+
+#include "src/common/failpoint.h"
 #include "src/common/rng.h"
 #include "src/crypto/key.h"
 #include "src/sql/codec.h"
@@ -266,6 +272,25 @@ TEST_P(VaultConformanceTest, PayloadSurvivesRoundTrip) {
   EXPECT_EQ((*recs)[0].ops[1].old_value, Value::Int(19));
 }
 
+// A global disguise stores one shard per owner, then one ownerless record,
+// all under one disguise id (engine_apply.cc). Reversal needs every one of
+// them, in store order, from whichever tiers they landed in.
+TEST_P(VaultConformanceTest, FetchForDisguiseReturnsOwnedAndOwnerlessInStoreOrder) {
+  ASSERT_TRUE(vault_->Store(Record(4, Value::Int(19))).ok());
+  ASSERT_TRUE(vault_->Store(Record(4, Value::Int(20))).ok());
+  ASSERT_TRUE(vault_->Store(Record(5, Value::Int(19))).ok());
+  ASSERT_TRUE(vault_->Store(Record(4, Value::Null())).ok());
+  auto recs = vault_->FetchForDisguise(4);
+  ASSERT_TRUE(recs.ok()) << recs.status();
+  ASSERT_EQ(recs->size(), 3u);
+  EXPECT_EQ((*recs)[0].user_id, Value::Int(19));
+  EXPECT_EQ((*recs)[1].user_id, Value::Int(20));
+  EXPECT_TRUE((*recs)[2].user_id.is_null());
+  for (const RevealRecord& rec : *recs) {
+    EXPECT_EQ(rec.disguise_id, 4u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, VaultConformanceTest,
                          ::testing::Values(Backend::kOffline, Backend::kTable,
                                            Backend::kEncrypted, Backend::kTwoTier),
@@ -296,6 +321,9 @@ TEST(EncryptedVaultTest, FingerprintMismatchDetected) {
   EncryptedVault vault(std::vector<uint8_t>(32, 1), wrong_key, Rng(4));
   // Register the fingerprint of a DIFFERENT key.
   vault.RegisterUser(Value::Int(19), crypto::KeyFingerprint(std::vector<uint8_t>(32, 0xcc)));
+  EXPECT_EQ(vault.FindFingerprint(Value::Int(19)),
+            crypto::KeyFingerprint(std::vector<uint8_t>(32, 0xcc)));
+  EXPECT_FALSE(vault.FindFingerprint(Value::Int(20)).has_value());
   RevealRecord rec;
   rec.disguise_id = 1;
   rec.user_id = Value::Int(19);
@@ -327,6 +355,99 @@ TEST(EncryptedVaultTest, CryptoOpsCounted) {
   ASSERT_TRUE(vault.Store(rec).ok());
   ASSERT_TRUE(vault.FetchForUser(Value::Int(19)).ok());
   EXPECT_GE(vault.stats().crypto_ops, 2u);  // one seal + one open
+}
+
+// The KeyProvider runs outside the vault's lock: while user 1's provider
+// waits on an approval, user 2's store and fetch must finish. Every wait is
+// bounded and the approval is granted on every path, so a vault that holds
+// its lock across the provider fails here instead of hanging.
+TEST(EncryptedVaultTest, SlowKeyProviderDoesNotStallOtherOwners) {
+  using namespace std::chrono_literals;
+  struct Approval {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool asked = false;
+    bool granted = false;
+    bool other_done = false;
+  } approval;
+  KeyProvider provider = [&approval](const Value& uid) -> StatusOr<std::vector<uint8_t>> {
+    if (uid.AsInt() == 1) {
+      std::unique_lock<std::mutex> lock(approval.mu);
+      approval.asked = true;
+      approval.cv.notify_all();
+      approval.cv.wait_for(lock, 60s, [&] { return approval.granted; });
+    }
+    return std::vector<uint8_t>(32, static_cast<uint8_t>(uid.AsInt()));
+  };
+  EncryptedVault vault(std::vector<uint8_t>(32, 1), provider, Rng(9));
+  RevealRecord slow = MakeRecord();
+  slow.disguise_id = 1;
+  slow.user_id = Value::Int(1);
+  RevealRecord fast = MakeRecord();
+  fast.disguise_id = 2;
+  fast.user_id = Value::Int(2);
+
+  Status slow_store;
+  Status fast_store;
+  StatusOr<std::vector<RevealRecord>> fast_fetch = std::vector<RevealRecord>{};
+  std::thread slow_thread;
+  std::thread fast_thread;
+  // Grants user 1's approval and joins both threads, on every path out.
+  class GrantAndJoin {
+   public:
+    GrantAndJoin(Approval* approval, std::thread* slow, std::thread* fast)
+        : approval_(approval), threads_{slow, fast} {}
+    GrantAndJoin(const GrantAndJoin&) = delete;
+    GrantAndJoin& operator=(const GrantAndJoin&) = delete;
+    ~GrantAndJoin() { Run(); }
+
+    void Run() {
+      {
+        std::lock_guard<std::mutex> lock(approval_->mu);
+        approval_->granted = true;
+      }
+      approval_->cv.notify_all();
+      for (std::thread* t : threads_) {
+        if (t->joinable()) {
+          t->join();
+        }
+      }
+    }
+
+   private:
+    Approval* approval_;
+    std::thread* threads_[2];
+  } grant_and_join(&approval, &slow_thread, &fast_thread);
+
+  slow_thread = std::thread([&] { slow_store = vault.Store(slow); });
+  {
+    std::unique_lock<std::mutex> lock(approval.mu);
+    ASSERT_TRUE(approval.cv.wait_for(lock, 10s, [&] { return approval.asked; }))
+        << "user 1's store never asked for a key";
+  }
+  fast_thread = std::thread([&] {
+    fast_store = vault.Store(fast);
+    fast_fetch = vault.FetchForUser(Value::Int(2));
+    std::lock_guard<std::mutex> lock(approval.mu);
+    approval.other_done = true;
+    approval.cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(approval.mu);
+    EXPECT_TRUE(approval.cv.wait_for(lock, 10s, [&] { return approval.other_done; }))
+        << "user 2's store and fetch waited on user 1's key provider";
+    EXPECT_FALSE(approval.granted);
+  }
+  grant_and_join.Run();
+  EXPECT_TRUE(slow_store.ok()) << slow_store;
+  EXPECT_TRUE(fast_store.ok()) << fast_store;
+  ASSERT_TRUE(fast_fetch.ok()) << fast_fetch.status();
+  EXPECT_EQ(fast_fetch->size(), 1u);
+  auto slow_fetch = vault.FetchForUser(Value::Int(1));
+  ASSERT_TRUE(slow_fetch.ok()) << slow_fetch.status();
+  ASSERT_EQ(slow_fetch->size(), 1u);
+  EXPECT_EQ((*slow_fetch)[0].disguise_id, 1u);
+  EXPECT_EQ(vault.NumRecords(), 2u);
 }
 
 // StoreBatch derives each owner key's subkeys once for the whole batch; a
@@ -389,6 +510,56 @@ TEST(EncryptedVaultTest, StoreBatchMatchesStoreLoop) {
   EXPECT_EQ(a.bytes_stored, b.bytes_stored);
   EXPECT_EQ(a.crypto_ops, b.crypto_ops);
   EXPECT_EQ(a.stores, records.size());
+}
+
+// A vault.store failure at record k stops a batch as it stops a Store loop:
+// records 0..k-1 are stored, the injected error is returned, and the
+// KeyProvider is never asked for record k's key or any later one.
+TEST(EncryptedVaultTest, StoreBatchStopsAtFailPointLikeStoreLoop) {
+  FailPoints& fail_points = FailPoints::Instance();
+  fail_points.DisableAll();
+  std::vector<RevealRecord> records;
+  for (int64_t owner : {19, 7, 19, 23, 7}) {
+    RevealRecord rec = MakeRecord();
+    rec.disguise_id = 100 + records.size();
+    rec.user_id = Value::Int(owner);
+    records.push_back(std::move(rec));
+  }
+  int key_requests = 0;
+  KeyProvider provider = [&key_requests](const Value& uid) -> StatusOr<std::vector<uint8_t>> {
+    ++key_requests;
+    return std::vector<uint8_t>(32, static_cast<uint8_t>(uid.AsInt()));
+  };
+  const FailPointConfig third_store{.action = FailPointAction::kReturnError,
+                                    .trigger = FailPointTrigger::kOneShot,
+                                    .n = 3};
+
+  EncryptedVault batched(std::vector<uint8_t>(32, 1), provider, Rng(8));
+  fail_points.Enable(failpoints::kVaultStore, third_store);
+  EXPECT_FALSE(batched.StoreBatch(records).ok());
+  EXPECT_EQ(key_requests, 2);
+
+  key_requests = 0;
+  EncryptedVault looped(std::vector<uint8_t>(32, 1), provider, Rng(8));
+  fail_points.Enable(failpoints::kVaultStore, third_store);
+  Status looped_status;
+  for (const RevealRecord& rec : records) {
+    looped_status = looped.Store(rec);
+    if (!looped_status.ok()) {
+      break;
+    }
+  }
+  fail_points.DisableAll();
+  EXPECT_FALSE(looped_status.ok());
+  EXPECT_EQ(key_requests, 2);
+
+  const std::vector<uint64_t> stored = {100, 101};
+  auto batched_ids = batched.ListDisguiseIds();
+  auto looped_ids = looped.ListDisguiseIds();
+  ASSERT_TRUE(batched_ids.ok() && looped_ids.ok());
+  EXPECT_EQ(*batched_ids, stored);
+  EXPECT_EQ(*looped_ids, stored);
+  EXPECT_EQ(batched.stats().bytes_stored, looped.stats().bytes_stored);
 }
 
 // --- Table-vault specifics ----------------------------------------------------------
