@@ -242,26 +242,4 @@ std::optional<LogEntry> DisguiseLog::LatestActiveFor(const std::string& spec_nam
   return latest;
 }
 
-std::vector<const LogEntry*> DisguiseLog::ActiveAfter(uint64_t after_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<const LogEntry*> out;
-  for (const LogEntry& e : entries_) {
-    if (e.id > after_id && e.active) {
-      out.push_back(&e);
-    }
-  }
-  return out;
-}
-
-std::vector<const LogEntry*> DisguiseLog::ActiveBefore(uint64_t before_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<const LogEntry*> out;
-  for (const LogEntry& e : entries_) {
-    if (e.id < before_id && e.active) {
-      out.push_back(&e);
-    }
-  }
-  return out;
-}
-
 }  // namespace edna::core

@@ -36,9 +36,9 @@ struct LogEntry {
 // mirror write so log order and mirror order agree (lock order: log mutex
 // before any db lock; the Database never calls back into the log).
 //
-// The pointer-returning accessors (Find, entries, ActiveAfter/Before) are
-// for single-threaded use: returned pointers are invalidated by a concurrent
-// Append. Concurrent callers (the batch executor) use the *Copy accessors.
+// The pointer-returning accessors (Find, entries) are for single-threaded
+// use: returned pointers are invalidated by a concurrent Append. Concurrent
+// callers (the batch executor) use the *Copy accessors.
 class DisguiseLog {
  public:
   // Mirrors entries into `db` (reserved table created on demand); `db` may
@@ -81,15 +81,9 @@ class DisguiseLog {
   const LogEntry* Find(uint64_t id) const;
   const std::vector<LogEntry>& entries() const { return entries_; }
 
-  // Active entries with id > `after_id`, in apply order: the "relevant log
-  // interval" re-applied to revealed data.
-  std::vector<const LogEntry*> ActiveAfter(uint64_t after_id) const;
-
-  // Active entries with id < `before_id`, in apply order: the prior
-  // disguises a new application may need to compose with.
-  std::vector<const LogEntry*> ActiveBefore(uint64_t before_id) const;
-
-  // Concurrency-safe copies of the above.
+  // Concurrency-safe copies: the entry `id`, and the active entries with
+  // id > `after_id` in apply order (the "relevant log interval" re-applied
+  // to revealed data).
   std::optional<LogEntry> FindCopy(uint64_t id) const;
   std::vector<LogEntry> ActiveAfterCopy(uint64_t after_id) const;
 

@@ -21,11 +21,6 @@ using disguise::Transformation;
 using vault::RevealOp;
 using vault::RevealRecord;
 
-sql::ExprPtr MakeEqExpr(const std::string& column, const sql::Value& value) {
-  return sql::Expr::Binary(sql::BinaryOp::kEq, sql::Expr::ColumnRef("", column),
-                           sql::Expr::Literal(value));
-}
-
 Status FoldStatus(Status primary, const Status& secondary, const char* what) {
   if (secondary.ok()) {
     return primary;
@@ -295,20 +290,12 @@ Status DisguiseEngine::RunModifies(ApplyContext* ctx) {
       if (tr.kind() != TransformKind::kModify) {
         continue;
       }
-      // Only the ids of the RowRefs are used: a later statement's eviction
-      // may clear the payloads they point at.
-      ASSIGN_OR_RETURN(std::vector<db::RowRef> rows,
-                       db_->Select(td.table, tr.predicate(), ctx->params));
-      int col_idx = ts->ColumnIndex(tr.column());
+      ASSIGN_OR_RETURN(auto rows,
+                       db_->SelectRowsWithIds(td.table, tr.predicate(), ctx->params));
+      const size_t col_idx = static_cast<size_t>(ts->ColumnIndex(tr.column()));
       std::vector<db::Database::BatchUpdate> writes;
-      for (const db::RowRef& ref : rows) {
-        const db::RowId id = ref.id;
-        auto row_or = db_->GetRow(td.table, id);
-        if (!row_or.ok()) {
-          return RaceToAborted(row_or.status());
-        }
-        db::Row row = *std::move(row_or);
-        sql::Value old = row[static_cast<size_t>(col_idx)];
+      for (const auto& [id, row] : rows) {
+        const sql::Value& old = row[col_idx];
         disguise::GenContext gen_ctx;
         gen_ctx.rng = &ctx->rng;
         gen_ctx.original = &old;
@@ -359,11 +346,8 @@ StatusOr<std::vector<std::string>> DisguiseEngine::RemoveOrder(
       }
     }
   }
-  // Kahn's algorithm: emit tables whose referenced parents are all emitted
-  // LAST; i.e. emit children first. We emit a table when no *unemitted*
-  // table references it... simpler: repeatedly emit a table none of whose
-  // FK parents have been emitted yet? Invert: emit X only after every table
-  // that references X. Compute in-degree = number of unemitted referencers.
+  // Kahn's algorithm, children first: emit a table once no unemitted table
+  // references it.
   std::vector<std::string> order;
   std::set<std::string> emitted;
   while (order.size() < tables.size()) {
@@ -398,76 +382,22 @@ StatusOr<std::vector<std::string>> DisguiseEngine::RemoveOrder(
   return order;
 }
 
-Status DisguiseEngine::RemoveWithClosure(ApplyContext* ctx, const std::string& table,
-                                         db::RowId id, int depth) {
-  if (depth > 32) {
-    return IntegrityViolation("remove closure too deep (FK cycle?)");
-  }
-  auto row_or = db_->GetRow(table, id);
-  if (!row_or.ok()) {
-    return RaceToAborted(row_or.status());
-  }
-  db::Row row = *std::move(row_or);
-  const db::TableSchema* ts = db_->schema().FindTable(table);
-
-  // Children referencing this row, by declared FK delete action.
-  if (ts->primary_key().size() == 1) {
-    const std::string& pk_col = ts->primary_key()[0];
-    sql::Value pk_value = row[static_cast<size_t>(ts->ColumnIndex(pk_col))];
-    for (const db::TableSchema& child : db_->schema().tables()) {
-      for (const db::ForeignKeyDef& fk : child.foreign_keys()) {
-        if (fk.parent_table != table) {
-          continue;
-        }
-        sql::ExprPtr pred = MakeEqExpr(fk.column, pk_value);
-        // Only the kids' ids are read: the statements below may evict the
-        // payloads their RowRefs point at.
-        ASSIGN_OR_RETURN(std::vector<db::RowRef> kids,
-                         db_->Select(child.name(), pred.get(), ctx->params));
-        if (kids.empty()) {
-          continue;
-        }
-        switch (fk.on_delete) {
-          case db::FkAction::kRestrict:
-            // The spec must have decorrelated or removed these first. A
-            // violation is either a spec bug (persistent: survives the
-            // batch retry budget and is reported) or a concurrent reveal
-            // re-inserting a child after this apply's stage for the child
-            // table ran (transient: RaceToAborted makes the retry see it).
-            return RaceToAborted(IntegrityViolation(
-                "removing \"" + table + "\" row " + pk_value.ToSqlString() +
-                " would orphan " + std::to_string(kids.size()) + " row(s) of \"" +
-                child.name() + "\" (RESTRICT)"));
-          case db::FkAction::kCascade:
-            for (const db::RowRef& kid : kids) {
-              if (db_->RowExists(child.name(), kid.id)) {
-                RETURN_IF_ERROR(RemoveWithClosure(ctx, child.name(), kid.id, depth + 1));
-              }
-            }
-            break;
-          case db::FkAction::kSetNull:
-            for (const db::RowRef& kid : kids) {
-              if (ctx->spec->reversible()) {
-                ctx->record.ops.push_back(RevealOp::RestoreColumn(
-                    child.name(), kid.id, fk.column, pk_value, sql::Value::Null()));
-              }
-              RETURN_IF_ERROR(RaceToAborted(
-                  db_->SetColumn(child.name(), kid.id, fk.column, sql::Value::Null())));
-            }
-            break;
-        }
+void DisguiseEngine::RecordRemoved(ApplyContext* ctx,
+                                   std::vector<db::DeleteChange> removed) {
+  for (db::DeleteChange& c : removed) {
+    if (c.column.empty()) {
+      ++ctx->result.rows_removed;
+      if (ctx->spec->reversible()) {
+        ctx->record.ops.push_back(
+            RevealOp::RestoreRow(std::move(c.table), c.id, std::move(c.row)));
       }
+    } else if (ctx->spec->reversible()) {
+      ctx->record.ops.push_back(RevealOp::RestoreColumn(std::move(c.table), c.id,
+                                                        std::move(c.column),
+                                                        std::move(c.old_value),
+                                                        sql::Value::Null()));
     }
   }
-
-  // Children handled: record the row (AFTER child ops, so reverse-order
-  // reveal restores this parent before its children) and delete it.
-  if (ctx->spec->reversible()) {
-    ctx->record.ops.push_back(RevealOp::RestoreRow(table, id, row));
-  }
-  RETURN_IF_ERROR(RaceToAborted(db_->DeleteRow(table, id)));
-  ++ctx->result.rows_removed;
-  return OkStatus();
 }
 
 Status DisguiseEngine::RunRemoves(ApplyContext* ctx) {
@@ -478,14 +408,15 @@ Status DisguiseEngine::RunRemoves(ApplyContext* ctx) {
       if (tr.kind() != TransformKind::kRemove) {
         continue;
       }
-      ASSIGN_OR_RETURN(std::vector<db::RowRef> rows,
-                       db_->Select(table, tr.predicate(), ctx->params));
-      for (const db::RowRef& ref : rows) {  // ids only, as in RunModifies
-        if (!db_->RowExists(table, ref.id)) {
-          continue;  // removed by an earlier closure walk
-        }
-        RETURN_IF_ERROR(RemoveWithClosure(ctx, table, ref.id, 0));
-      }
+      // RaceToAborted maps a RESTRICT violation to kAborted. The spec should
+      // have decorrelated or removed that child first, so it is a spec bug
+      // (persistent: reported once the batch retry budget runs out) or a
+      // concurrent reveal that re-inserted the child after this apply's
+      // stage for its table (transient: the retry sees it).
+      std::vector<db::DeleteChange> removed;
+      RETURN_IF_ERROR(RaceToAborted(
+          db_->Delete(table, tr.predicate(), ctx->params, &removed).status()));
+      RecordRemoved(ctx, std::move(removed));
     }
   }
   return OkStatus();

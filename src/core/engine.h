@@ -218,10 +218,11 @@ class DisguiseEngine {
   StatusOr<sql::Value> CreatePlaceholder(ApplyContext* ctx, const std::string& table,
                                          const sql::Value& owner);
 
-  // Removes one row plus its FK closure (children first), recording reveal
-  // ops for every removed row / nulled child reference.
-  Status RemoveWithClosure(ApplyContext* ctx, const std::string& table, db::RowId id,
-                           int depth);
+  // Counts the rows a Delete or DeleteRow removed and, for a reversible
+  // spec, records one reveal op per reported change in report order: the
+  // database's FK walk removes children and nulls references before the row
+  // they depend on, so a reverse-order reveal restores parents first.
+  void RecordRemoved(ApplyContext* ctx, std::vector<db::DeleteChange> removed);
 
   // Tables of the spec's Removes in child-before-parent order.
   StatusOr<std::vector<std::string>> RemoveOrder(const disguise::DisguiseSpec& spec) const;

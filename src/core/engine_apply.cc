@@ -125,9 +125,13 @@ Status DisguiseEngine::VirtualRecorrelate(ApplyContext* ctx, const std::string& 
       continue;
     }
     switch (tr.kind()) {
-      case TransformKind::kRemove:
+      case TransformKind::kRemove: {
         // The new disguise would remove this formerly-owned row: do it.
-        return RemoveWithClosure(ctx, table, row_id, 0);
+        std::vector<db::DeleteChange> removed;
+        RETURN_IF_ERROR(RaceToAborted(db_->DeleteRow(table, row_id, &removed)));
+        RecordRemoved(ctx, std::move(removed));
+        return OkStatus();
+      }
       case TransformKind::kDecorrelate:
         if (tr.foreign_key().column == column) {
           // Already decorrelated by the prior disguise; nothing to add.

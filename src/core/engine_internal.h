@@ -61,9 +61,6 @@ class DisguiseEngine::EngineOpScope {
   DisguiseEngine* engine_;
 };
 
-// `"col" = <literal>` predicate built programmatically.
-sql::ExprPtr MakeEqExpr(const std::string& column, const sql::Value& value);
-
 // Folds a secondary (compensation) failure into `primary`'s message, so
 // double-fault situations reach the caller instead of being discarded.
 Status FoldStatus(Status primary, const Status& secondary, const char* what);

@@ -1200,11 +1200,14 @@ StatusOr<size_t> Database::BatchSetColumns(const std::string& table,
 }
 
 StatusOr<size_t> Database::Delete(const std::string& table, const sql::Expr* pred,
-                                  const sql::ParamMap& params) {
-  // The statement the runner counts is the SELECT phase.
+                                  const sql::ParamMap& params,
+                                  std::vector<DeleteChange>* report) {
+  // The statement the runner counts is the SELECT phase. Cascaded rows and
+  // nulled references cost no statement, as for a SQL DELETE with FK actions.
   return RunWriteStatement(
       table, LockKind::kDelete, kNoColumns,
       [&](TxnState& tx, Table* t, const std::vector<size_t>&) -> StatusOr<size_t> {
+        const size_t mark = tx.undo_log.size();
         ASSIGN_OR_RETURN(std::vector<RowId> ids, MatchRows(*t, pred, params));
         size_t deleted = 0;
         for (RowId id : ids) {
@@ -1214,6 +1217,9 @@ StatusOr<size_t> Database::Delete(const std::string& table, const sql::Expr* pre
           RETURN_IF_ERROR(DeleteRowInternal(tx, table, id, 0));
           ++deleted;
           CountStatement();  // one DELETE statement per row
+        }
+        if (report != nullptr) {
+          *report = DeleteChangesSince(tx, mark);
         }
         return deleted;
       });
@@ -1280,6 +1286,9 @@ Status Database::DeleteRowInternal(TxnState& tx, const std::string& table, RowId
           int col_idx = ct->schema().ColumnIndex(child.fk.column);
           for (RowId kid : kids) {
             RETURN_IF_ERROR(ClaimIntent(tx, child.child_table, kid));
+            if (write_guard_) {
+              RETURN_IF_ERROR(write_guard_(child.child_table, kid, child.fk.column));
+            }
             ASSIGN_OR_RETURN(sql::Value old,
                              ct->UpdateColumn(kid, static_cast<size_t>(col_idx),
                                               sql::Value::Null()));
@@ -1298,6 +1307,26 @@ Status Database::DeleteRowInternal(TxnState& tx, const std::string& table, RowId
   ++stats_.rows_deleted;
   LogDelete(tx, table, id, std::move(removed));
   return OkStatus();
+}
+
+std::vector<DeleteChange> Database::DeleteChangesSince(const TxnState& tx,
+                                                       size_t mark) const {
+  std::vector<DeleteChange> out;
+  out.reserve(tx.undo_log.size() - mark);
+  for (size_t i = mark; i < tx.undo_log.size(); ++i) {
+    const UndoEntry& e = tx.undo_log[i];
+    DeleteChange& c = out.emplace_back();
+    c.table = e.table;
+    c.id = e.id;
+    if (e.kind == UndoEntry::Kind::kDelete) {
+      c.row = e.row;
+    } else {
+      // tables_ directly: FindTable would take the catalog lock again.
+      c.column = tables_.at(e.table).schema().columns()[e.col_idx].name;
+      c.old_value = e.old_value;
+    }
+  }
+  return out;
 }
 
 StatusOr<sql::Value> Database::GetColumn(const std::string& table, RowId id,
@@ -1365,11 +1394,18 @@ Status Database::SetColumn(const std::string& table, RowId id, const std::string
   return BatchSetColumns(table, std::move(one)).status();
 }
 
-Status Database::DeleteRow(const std::string& table, RowId id) {
-  return RunWriteStatement(table, LockKind::kDelete, kNoColumns,
-                           [&](TxnState& tx, Table*, const std::vector<size_t>&) {
-                             return DeleteRowInternal(tx, table, id, 0);
-                           });
+Status Database::DeleteRow(const std::string& table, RowId id,
+                           std::vector<DeleteChange>* report) {
+  return RunWriteStatement(
+      table, LockKind::kDelete, kNoColumns,
+      [&](TxnState& tx, Table*, const std::vector<size_t>&) -> Status {
+        const size_t mark = tx.undo_log.size();
+        RETURN_IF_ERROR(DeleteRowInternal(tx, table, id, 0));
+        if (report != nullptr) {
+          *report = DeleteChangesSince(tx, mark);
+        }
+        return OkStatus();
+      });
 }
 
 Status Database::RestoreRow(const std::string& table, RowId id, Row row) {

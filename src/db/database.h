@@ -59,7 +59,8 @@ namespace edna::db {
 // way a SQL client would issue them: one per select, insert, row-level write
 // and BatchSetColumns (the engine's one UPDATE per Modify or Decorrelate).
 // A predicate Update or Delete counts its SELECT plus one statement per row
-// it writes. Row-level reads (GetRow, GetColumn, ...) are not statements.
+// it writes; a deleted row's FK cascades and SET NULLs ride on its DELETE.
+// Row-level reads (GetRow, GetColumn, ...) are not statements.
 //
 // Counters are atomics so concurrent statements account exactly (no lost
 // increments); the copy operations take a relaxed snapshot so existing
@@ -136,6 +137,17 @@ struct DbStats {
 struct Assignment {
   std::string column;
   sql::ExprPtr expr;
+};
+
+// One change a Delete or DeleteRow made: a removed row (`column` empty, `row`
+// its image) or a reference its FK walk SET NULL (`column` names it,
+// `old_value` is what it held).
+struct DeleteChange {
+  std::string table;
+  RowId id = kInvalidRowId;
+  std::string column;
+  Row row;
+  sql::Value old_value;
 };
 
 // Pre-write hook consulted before any row mutation (update or delete).
@@ -247,8 +259,14 @@ class Database {
                           const std::vector<Assignment>& assignments);
 
   // Deletes matching rows (running FK delete actions); returns rows deleted.
+  // When the call succeeds, a non-null `report` holds every change the
+  // statement made, in the order its FK walk made it: a row's CASCADE
+  // children are removed and its SET NULL references cleared before the row
+  // itself, child FKs in schema-then-declaration order, siblings in
+  // ascending RowId order. A statement whose walk fails writes no report.
   StatusOr<size_t> Delete(const std::string& table, const sql::Expr* pred,
-                          const sql::ParamMap& params);
+                          const sql::ParamMap& params,
+                          std::vector<DeleteChange>* report = nullptr);
 
   // One pre-computed column write within a batch statement.
   struct BatchUpdate {
@@ -280,8 +298,10 @@ class Database {
   Status SetColumn(const std::string& table, RowId id, const std::string& column,
                    sql::Value value);
 
-  // Deletes one row, applying FK delete actions recursively.
-  Status DeleteRow(const std::string& table, RowId id);
+  // Deletes one row, applying FK delete actions recursively; `report` as
+  // for Delete.
+  Status DeleteRow(const std::string& table, RowId id,
+                   std::vector<DeleteChange>* report = nullptr);
 
   // Re-inserts a row with a known id (reveal/restore path); FK-checked.
   Status RestoreRow(const std::string& table, RowId id, Row row);
@@ -482,6 +502,11 @@ class Database {
 
   // Recursive delete honoring FK actions; appends undo entries.
   Status DeleteRowInternal(TxnState& tx, const std::string& table, RowId id, int depth);
+
+  // The changes of a delete walk, read off undo_log[mark..] (a kDelete entry
+  // is a removed row, a kUpdate one a nulled reference). Call from the
+  // statement body: an implicit statement's commit clears the undo log.
+  std::vector<DeleteChange> DeleteChangesSince(const TxnState& tx, size_t mark) const;
 
   // FK-checked single-column write; assumes a transaction scope is active.
   Status SetColumnInTxn(TxnState& tx, const std::string& table_name, Table* t, RowId id,

@@ -3,6 +3,11 @@
 // interplay, statement counts) is observable in isolation.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/apps/hotcrp/disguises.h"
 #include "src/apps/hotcrp/generator.h"
 #include "src/common/clock.h"
@@ -418,6 +423,99 @@ TEST_F(EngineTest, GlobalDisguiseRecordsGoToGlobalVault) {
   EXPECT_TRUE((*global)[0].user_id.is_null());
 }
 
+// org <- team (CASCADE) <- member (CASCADE); org <- badge (CASCADE);
+// org <- audit (SET NULL); org <- hold (RESTRICT). A Remove records the
+// database's FK walk as reveal ops, in walk order, and the reveal undoes it.
+TEST(EngineRemoveTest, RecordFollowsTheDeleteWalkAndRevealRestoresIt) {
+  db::Database db;
+  auto table = [](const std::string& name, const std::string& parent,
+                  db::FkAction on_delete) {
+    db::ColumnDef id;  // INT NOT NULL AUTO_INCREMENT
+    id.name = "id";
+    id.nullable = false;
+    id.auto_increment = true;
+    db::ColumnDef ref;  // INT NULL
+    ref.name = "ref";
+    db::TableSchema t(name);
+    t.AddColumn(id).AddColumn(ref).SetPrimaryKey({"id"});
+    if (!parent.empty()) {
+      t.AddForeignKey({.column = "ref", .parent_table = parent, .parent_column = "id",
+                       .on_delete = on_delete});
+    }
+    return t;
+  };
+  ASSERT_TRUE(db.CreateTable(table("org", "", db::FkAction::kRestrict)).ok());
+  ASSERT_TRUE(db.CreateTable(table("team", "org", db::FkAction::kCascade)).ok());
+  ASSERT_TRUE(db.CreateTable(table("member", "team", db::FkAction::kCascade)).ok());
+  ASSERT_TRUE(db.CreateTable(table("badge", "org", db::FkAction::kCascade)).ok());
+  ASSERT_TRUE(db.CreateTable(table("audit", "org", db::FkAction::kSetNull)).ok());
+  ASSERT_TRUE(db.CreateTable(table("hold", "org", db::FkAction::kRestrict)).ok());
+  const std::vector<std::pair<std::string, std::vector<int64_t>>> refs = {
+      {"org", {0, 0}},          {"team", {1, 2, 1}}, {"member", {3, 1, 3}},
+      {"badge", {1, 1}},        {"audit", {1, 2, 1}}, {"hold", {2}}};
+  for (const auto& [name, values] : refs) {
+    for (int64_t ref : values) {
+      ASSERT_TRUE(
+          db.InsertValues(name, {{"ref", ref == 0 ? Value::Null() : Value::Int(ref)}}).ok());
+    }
+  }
+  auto contents = [&] {
+    std::map<std::string, std::vector<std::pair<db::RowId, db::Row>>> out;
+    for (const auto& [name, values] : refs) {
+      auto rows = db.SelectRowsWithIds(name, nullptr, {});
+      if (!rows.ok()) {
+        ADD_FAILURE() << rows.status();
+        continue;
+      }
+      out[name] = *std::move(rows);
+    }
+    return out;
+  };
+  const auto before = contents();
+
+  vault::OfflineVault vault;
+  SimulatedClock clock(0);
+  DisguiseEngine engine(&db, &vault, &clock);
+  auto spec = disguise::ParseDisguiseSpec(R"(
+disguise_name: "DropOrg"
+user_to_disguise: $UID
+reversible: true
+table org:
+  transformations:
+    Remove(pred: "id" = $UID)
+)");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  ASSERT_TRUE(engine.RegisterSpec(*std::move(spec)).ok());
+
+  // A RESTRICT child still aborts the apply (retryable) and changes nothing.
+  EXPECT_EQ(engine.ApplyForUser("DropOrg", Value::Int(2)).status().code(),
+            StatusCode::kAborted);
+  EXPECT_EQ(contents(), before);
+
+  auto applied = engine.ApplyForUser("DropOrg", Value::Int(1));
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  EXPECT_EQ(applied->rows_removed, 8u);
+  auto records = vault.FetchForDisguise(applied->disguise_id);
+  ASSERT_TRUE(records.ok()) << records.status();
+  ASSERT_EQ(records->size(), 1u);
+  std::vector<std::string> ops;
+  for (const vault::RevealOp& op : (*records)[0].ops) {
+    ops.push_back(op.table + " " + std::to_string(op.row_id) +
+                  (op.kind == vault::RevealOp::Kind::kRestoreRow
+                       ? ""
+                       : " " + op.column + "=" + op.old_value.ToSqlString() + "<-" +
+                             op.new_value.ToSqlString()));
+  }
+  EXPECT_EQ(ops, (std::vector<std::string>{"member 2", "team 1", "member 1", "member 3",
+                                           "team 3", "badge 1", "badge 2",
+                                           "audit 1 ref=1<-NULL", "audit 3 ref=1<-NULL",
+                                           "org 1"}));
+
+  ASSERT_TRUE(engine.Reveal(applied->disguise_id).ok());
+  EXPECT_EQ(contents(), before);
+  EXPECT_TRUE(db.CheckIntegrity().ok());
+}
+
 // The statement count of the paper's most expensive operation, pinned:
 // ConfAnon over the 1x HotCRP database (430 users, 450 papers, 1400
 // reviews) generated from the default seed. Every Modify and Decorrelate
@@ -436,6 +534,34 @@ TEST(EngineStatementsTest, ConfAnonOnPaperScaleHotCrp) {
   auto anon = engine.Apply(hotcrp::kConfAnonName, {});
   ASSERT_TRUE(anon.ok()) << anon.status();
   EXPECT_EQ(anon->queries, 3594u);
+}
+
+// Statements of one per-user apply on the same database: one DELETE per
+// Remove transformation plus one per matched row, with the FK cascades,
+// SET NULLs and their probes inside those statements.
+uint64_t PaperScaleStatements(StatusOr<disguise::DisguiseSpec> spec, int64_t uid) {
+  db::Database db;
+  auto generated = hotcrp::Populate(&db, hotcrp::Config{});
+  if (!generated.ok() || !spec.ok()) {
+    ADD_FAILURE() << generated.status() << "; " << spec.status();
+    return 0;
+  }
+  vault::OfflineVault vault;
+  SimulatedClock clock(0);
+  DisguiseEngine engine(&db, &vault, &clock);
+  const std::string name = spec->name();
+  EXPECT_TRUE(engine.RegisterSpec(*std::move(spec)).ok());
+  auto applied = engine.ApplyForUser(name, Value::Int(uid));
+  EXPECT_TRUE(applied.ok()) << applied.status();
+  return applied.ok() ? applied->queries : 0;
+}
+
+TEST(EngineStatementsTest, GdprOnPaperScaleHotCrp) {
+  EXPECT_EQ(PaperScaleStatements(hotcrp::GdprSpec(), 3), 126u);
+}
+
+TEST(EngineStatementsTest, GdprPlusOnPaperScaleHotCrp) {
+  EXPECT_EQ(PaperScaleStatements(hotcrp::GdprPlusSpec(), 20), 112u);
 }
 
 }  // namespace

@@ -51,12 +51,10 @@ TEST(DisguiseLogTest, ActiveIntervals) {
     ASSERT_TRUE(log.Append("S" + std::to_string(i), {}, Value::Null(), i, true).ok());
   }
   ASSERT_TRUE(log.MarkRevealed(3).ok());
-  auto after = log.ActiveAfter(1);
+  auto after = log.ActiveAfterCopy(1);
   ASSERT_EQ(after.size(), 3u);  // 2, 4, 5 (3 revealed)
-  EXPECT_EQ(after[0]->id, 2u);
-  EXPECT_EQ(after[2]->id, 5u);
-  auto before = log.ActiveBefore(4);
-  ASSERT_EQ(before.size(), 2u);  // 1, 2
+  EXPECT_EQ(after[0].id, 2u);
+  EXPECT_EQ(after[2].id, 5u);
 }
 
 TEST(DisguiseLogTest, UnappendOnlyRemovesLast) {

@@ -126,6 +126,55 @@ TEST_F(StrictModeTest, EngineOperationsAreExempt) {
   EXPECT_TRUE(engine_->Reveal(first->disguise_id).ok());
 }
 
+// A SET NULL reference the database clears while deleting a parent is a
+// write to the child row, and the guard vetoes it like a direct write.
+TEST_F(StrictModeTest, CascadedSetNullIntoProtectedRowIsRejected) {
+  db::ColumnDef id;  // INT NOT NULL AUTO_INCREMENT
+  id.name = "id";
+  id.nullable = false;
+  id.auto_increment = true;
+  db::ColumnDef user_id;  // INT NOT NULL
+  user_id.name = "user_id";
+  user_id.nullable = false;
+  db::ColumnDef editor_id;  // INT NULL
+  editor_id.name = "editor_id";
+  db::ColumnDef text;  // STRING NULL
+  text.name = "text";
+  text.type = db::ColumnType::kString;
+  db::TableSchema drafts("drafts");
+  drafts.AddColumn(id)
+      .AddColumn(user_id)
+      .AddColumn(editor_id)
+      .AddColumn(text)
+      .SetPrimaryKey({"id"})
+      .AddForeignKey({.column = "user_id", .parent_table = "users", .parent_column = "id",
+                      .on_delete = db::FkAction::kRestrict})
+      .AddForeignKey({.column = "editor_id", .parent_table = "users", .parent_column = "id",
+                      .on_delete = db::FkAction::kSetNull});
+  ASSERT_TRUE(db_.CreateTable(std::move(drafts)).ok());
+  ASSERT_TRUE(db_.InsertValues("drafts", {{"user_id", Value::Int(1)},
+                                          {"editor_id", Value::Int(2)},
+                                          {"text", Value::String("d")}})
+                  .ok());
+  auto spec = disguise::ParseDisguiseSpec(R"(
+disguise_name: "HideDrafts"
+user_to_disguise: $UID
+reversible: true
+table drafts:
+  transformations:
+    Modify(pred: "user_id" = $UID, column: "text", value: Redact)
+)");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  ASSERT_TRUE(engine_->RegisterSpec(*std::move(spec)).ok());
+  ASSERT_TRUE(engine_->ApplyForUser("HideDrafts", Value::Int(1)).ok());
+
+  EXPECT_EQ(db_.SetColumn("drafts", 1, "editor_id", Value::Null()).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(db_.DeleteRow("users", 2).code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(db_.RowExists("users", 2));
+  EXPECT_EQ(*db_.GetColumn("drafts", 1, "editor_id"), Value::Int(2));
+}
+
 TEST_F(StrictModeTest, DisabledByDefault) {
   db::Database db2;
   db::TableSchema users("users");

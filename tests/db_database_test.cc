@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -717,6 +718,107 @@ TEST_F(DatabaseTest, DeleteFollowsChildrenCreatedLater) {
   EXPECT_EQ(lookups_of(*copy, 4, StatusCode::kOk), 3u);
   EXPECT_TRUE(db_.CheckIntegrity().ok());
   EXPECT_TRUE(copy->CheckIntegrity().ok());
+}
+
+// org <- team (CASCADE) <- member (CASCADE); org <- badge (CASCADE);
+// org <- audit (SET NULL); org <- hold (RESTRICT). A delete reports what its
+// FK walk changed, in the order it changed it.
+TEST_F(DatabaseTest, DeleteReportsCascadeInWalkOrder) {
+  auto table = [](const std::string& name, const std::string& parent, FkAction on_delete) {
+    ColumnDef id;  // INT NOT NULL AUTO_INCREMENT
+    id.name = "id";
+    id.nullable = false;
+    id.auto_increment = true;
+    ColumnDef ref;  // INT NULL
+    ref.name = "ref";
+    TableSchema t(name);
+    t.AddColumn(id).AddColumn(ref).SetPrimaryKey({"id"});
+    if (!parent.empty()) {
+      t.AddForeignKey({.column = "ref", .parent_table = parent, .parent_column = "id",
+                       .on_delete = on_delete});
+    }
+    return t;
+  };
+  ASSERT_TRUE(db_.CreateTable(table("org", "", FkAction::kRestrict)).ok());
+  ASSERT_TRUE(db_.CreateTable(table("team", "org", FkAction::kCascade)).ok());
+  ASSERT_TRUE(db_.CreateTable(table("member", "team", FkAction::kCascade)).ok());
+  ASSERT_TRUE(db_.CreateTable(table("badge", "org", FkAction::kCascade)).ok());
+  ASSERT_TRUE(db_.CreateTable(table("audit", "org", FkAction::kSetNull)).ok());
+  ASSERT_TRUE(db_.CreateTable(table("hold", "org", FkAction::kRestrict)).ok());
+  const std::vector<std::pair<std::string, std::vector<int64_t>>> refs = {
+      {"org", {0, 0}},          {"team", {1, 2, 1}}, {"member", {3, 1, 3}},
+      {"badge", {1, 1}},        {"audit", {1, 2, 1}}, {"hold", {2}}};
+  for (const auto& [name, values] : refs) {
+    for (int64_t ref : values) {
+      ASSERT_TRUE(
+          db_.InsertValues(name, {{"ref", ref == 0 ? Value::Null() : Value::Int(ref)}}).ok());
+    }
+  }
+  using Contents = std::map<std::pair<std::string, RowId>, Row>;
+  auto contents = [&] {
+    Contents out;
+    for (const auto& [name, values] : refs) {
+      auto rows = db_.SelectRowsWithIds(name, nullptr, {});
+      if (!rows.ok()) {
+        ADD_FAILURE() << rows.status();
+        continue;
+      }
+      for (auto& [id, row] : *rows) {
+        out[{name, id}] = std::move(row);
+      }
+    }
+    return out;
+  };
+  const Contents before = contents();
+  // Checks the report against the expected walk: each removed row carries
+  // its image from `before`, each nulled reference its old value.
+  auto expect_walk = [&](const std::vector<DeleteChange>& report) {
+    std::vector<std::string> walk;
+    for (const DeleteChange& c : report) {
+      walk.push_back(c.table + " " + std::to_string(c.id) +
+                     (c.column.empty() ? "" : " " + c.column + "=" + c.old_value.ToSqlString()));
+      if (c.column.empty()) {
+        EXPECT_EQ(c.row, before.at({c.table, c.id})) << walk.back();
+      } else {
+        EXPECT_TRUE(c.row.empty()) << walk.back();
+      }
+    }
+    EXPECT_EQ(walk, (std::vector<std::string>{"member 2", "team 1", "member 1", "member 3",
+                                              "team 3", "badge 1", "badge 2", "audit 1 ref=1",
+                                              "audit 3 ref=1", "org 1"}));
+  };
+
+  // Inside an explicit transaction the report is the same, and Rollback
+  // restores every change it names.
+  ASSERT_TRUE(db_.Begin().ok());
+  std::vector<DeleteChange> report;
+  ASSERT_TRUE(db_.DeleteRow("org", 1, &report).ok());
+  expect_walk(report);
+  ASSERT_TRUE(db_.Rollback().ok());
+  EXPECT_EQ(contents(), before);
+
+  // A RESTRICT child fails the statement after its cascades ran: nothing is
+  // reported and nothing changes.
+  report.clear();
+  auto org2 = Pred("id = 2");
+  EXPECT_EQ(db_.Delete("org", org2.get(), {}, &report).status().code(),
+            StatusCode::kIntegrityViolation);
+  EXPECT_TRUE(report.empty());
+  EXPECT_EQ(contents(), before);
+
+  // One statement for the SELECT plus one for the matched row; cascaded
+  // rows and nulled references cost none.
+  auto org1 = Pred("id = 1");
+  const uint64_t statements = Database::ThreadStatements();
+  auto deleted = db_.Delete("org", org1.get(), {}, &report);
+  ASSERT_TRUE(deleted.ok()) << deleted.status();
+  EXPECT_EQ(*deleted, 1u);
+  EXPECT_EQ(Database::ThreadStatements() - statements, 2u);
+  expect_walk(report);
+  EXPECT_EQ(*db_.GetColumn("audit", 1, "ref"), Value::Null());
+  EXPECT_EQ(*db_.GetColumn("audit", 2, "ref"), Value::Int(2));
+  EXPECT_EQ(db_.TotalRows(), before.size() - 8);
+  EXPECT_TRUE(db_.CheckIntegrity().ok());
 }
 
 TEST_F(DatabaseTest, TotalRowsSumsTables) {
