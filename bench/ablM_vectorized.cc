@@ -1,12 +1,12 @@
-// Ablation M: batched residual evaluation on full scans. Unindexed analytic
+// Ablation M: residual evaluation on full scans. Unindexed analytic
 // predicates over the HotCRP tables give the planner no probe, so every
 // statement scans its table and runs the compiled residual over every live
-// row, gathered into row-pointer chunks of 1024 lanes. Two workloads:
+// row, one row at a time. Two workloads:
 //   * scan-filter: 20 rounds of the five scans between single writes, the
 //     repeated-scan pattern of an analytic read;
 //   * scan-filter-after-write: one SetColumn on the scanned table before
 //     every scan, the pattern of a disguise that scans and then rewrites.
-// Both export the db_vector_* counters next to rows examined and full scans.
+// Both export rows examined and full scans.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
@@ -20,12 +20,7 @@ using edna::sql::Value;
 
 constexpr double kScale = 2.33;
 
-void ExportVectorCounters(benchmark::State& state, const edna::db::Database& db) {
-  state.counters["chunks"] = static_cast<double>(db.stats().chunks_scanned.load());
-  state.counters["vector_ops"] = static_cast<double>(db.stats().vector_ops.load());
-  state.counters["vector_lanes"] = static_cast<double>(db.stats().vector_lanes.load());
-  state.counters["density_bp"] =
-      static_cast<double>(db.stats().selection_density_bp.load());
+void ExportScanCounters(benchmark::State& state, const edna::db::Database& db) {
   state.counters["rows_examined"] = static_cast<double>(db.stats().rows_examined.load());
   state.counters["full_scans"] = static_cast<double>(db.stats().full_scans.load());
 }
@@ -76,7 +71,7 @@ void BM_ScanFilter(benchmark::State& state) {
     CheckOk(db->SetColumn("ContactInfo", 1, "defaultWatch", Value::String("w")), "touch");
   }
   benchmark::DoNotOptimize(matched);
-  ExportVectorCounters(state, *db);
+  ExportScanCounters(state, *db);
 }
 BENCHMARK(BM_ScanFilter)->Unit(benchmark::kMillisecond)->Iterations(10);
 
@@ -98,7 +93,7 @@ void BM_ScanFilterAfterWrite(benchmark::State& state) {
     }
   }
   benchmark::DoNotOptimize(matched);
-  ExportVectorCounters(state, *db);
+  ExportScanCounters(state, *db);
 }
 BENCHMARK(BM_ScanFilterAfterWrite)->Unit(benchmark::kMillisecond)->Iterations(10);
 
@@ -106,10 +101,9 @@ BENCHMARK(BM_ScanFilterAfterWrite)->Unit(benchmark::kMillisecond)->Iterations(10
 
 int main(int argc, char** argv) {
   std::printf(
-      "Ablation M: batched residual evaluation on full scans. Each scan\n"
-      "gathers its table's live rows into 1024-lane row-pointer chunks and\n"
-      "runs the compiled predicate one instruction per chunk; the second\n"
-      "workload writes to the scanned table before every scan.\n\n");
+      "Ablation M: residual evaluation on full scans. Each scan runs the\n"
+      "compiled predicate over its table's live rows one row at a time; the\n"
+      "second workload writes to the scanned table before every scan.\n\n");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;

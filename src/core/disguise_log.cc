@@ -91,17 +91,6 @@ Status DisguiseLog::MarkRevealed(uint64_t id) {
   return NotFound("no disguise log entry with id " + std::to_string(id));
 }
 
-Status DisguiseLog::Unappend(uint64_t id) {
-  EDNA_FAIL_POINT(failpoints::kLogUnappend);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (entries_.empty() || entries_.back().id != id) {
-    return FailedPrecondition("Unappend: id is not the most recent entry");
-  }
-  entries_.pop_back();
-  next_id_ = id;
-  return OkStatus();
-}
-
 Status DisguiseLog::DropEntry(uint64_t id) {
   EDNA_FAIL_POINT(failpoints::kLogUnappend);
   std::lock_guard<std::mutex> lock(mu_);
@@ -110,11 +99,10 @@ Status DisguiseLog::DropEntry(uint64_t id) {
   if (it == entries_.end()) {
     return NotFound("no disguise log entry with id " + std::to_string(id));
   }
-  bool was_last = &*it == &entries_.back();
+  // next_id_ stays put: a failed apply whose unwind could not clear its
+  // vault records leaves a pending journal entry under this id, and the
+  // Recover() that clears it must not find a later apply's records there.
   entries_.erase(it);
-  if (was_last) {
-    next_id_ = id;  // keep ids dense for the common unwind-the-tail case
-  }
   if (db_ != nullptr && db_->HasTable(kDisguiseLogTableName)) {
     ASSIGN_OR_RETURN(sql::ExprPtr pred, sql::ParseExpression("\"id\" = $ID"));
     sql::ParamMap params;

@@ -50,14 +50,11 @@ class DisguiseLog {
 
   Status MarkRevealed(uint64_t id);
 
-  // Removes the most recent entry iff it has this id. Used to unwind a
-  // failed apply after the in-memory append (the DB mirror row is unwound by
-  // the enclosing transaction's rollback).
-  Status Unappend(uint64_t id);
-
-  // Recovery-path removal: erases the entry wherever it sits and deletes its
-  // DB mirror row if one survived (the transaction rollback usually already
-  // unwound it). Unlike Unappend, never leaves the mirror out of sync.
+  // Unwind- and recovery-path removal: erases the entry wherever it sits
+  // and deletes its DB mirror row if one survived (the transaction rollback
+  // usually already unwound it). The id is never handed out again by this
+  // process; after a reopen, LoadFromMirror may reuse it, which is safe
+  // because DurableEngine::Open runs Recover() before any apply.
   Status DropEntry(uint64_t id);
 
   // Recovery-path demotion: clears the reversible flag of an entry whose

@@ -867,65 +867,36 @@ StatusOr<std::vector<RowId>> Database::MatchRows(const Table& table, const sql::
   }
 
   // Residual filter: the FULL compiled predicate over every candidate.
-  return FilterCandidatesVectorized(table, candidates, *plan->residual,
-                                    plan->residual->BindParams(params));
+  return FilterCandidates(table, candidates, *plan->residual,
+                          plan->residual->BindParams(params));
 }
 
-StatusOr<std::vector<RowId>> Database::FilterCandidatesVectorized(
+StatusOr<std::vector<RowId>> Database::FilterCandidates(
     const Table& table, const std::vector<RowId>& candidates,
     const sql::CompiledPredicate& residual, const sql::BoundParams& bound) const {
-  static thread_local sql::ChunkScratch scratch;
+  static thread_local sql::EvalScratch scratch;
   const size_t width = table.schema().num_columns();
-  std::vector<const sql::Value*> row_ptrs;
-  std::vector<RowId> lane_ids;
-  row_ptrs.reserve(std::min<size_t>(candidates.size(), sql::kChunkLanes));
-  lane_ids.reserve(row_ptrs.capacity());
   std::vector<RowId> out;
-  uint64_t lanes = 0;
-  uint64_t matches = 0;
-  size_t i = 0;
-  while (i < candidates.size()) {
-    // Gather up to one chunk of resident rows. Row pointers stay valid for
-    // the whole statement: eviction only runs at statement boundaries, and
-    // map nodes are stable.
-    row_ptrs.clear();
-    lane_ids.clear();
-    for (; i < candidates.size() && row_ptrs.size() < sql::kChunkLanes; ++i) {
-      const Row* row = table.Find(candidates[i]);
-      if (row == nullptr) {
-        continue;  // gone (or faulted — the sticky check below surfaces it)
-      }
-      row_ptrs.push_back(row->data());
-      lane_ids.push_back(candidates[i]);
+  uint64_t examined = 0;
+  Status status = OkStatus();
+  for (RowId id : candidates) {
+    const Row* row = table.Find(id);
+    if (row == nullptr) {
+      continue;  // gone (or faulted — the sticky check below surfaces it)
     }
-    if (row_ptrs.empty()) {
-      continue;
+    ++examined;
+    StatusOr<bool> matched = residual.Matches(row->data(), width, bound, &scratch);
+    if (!matched.ok()) {
+      status = matched.status();
+      break;
     }
-    sql::RowChunk chunk;
-    chunk.lanes = row_ptrs.size();
-    chunk.row_width = width;
-    chunk.rows = row_ptrs.data();
-    Status matched = residual.MatchChunk(chunk, bound, &scratch);
-    ++stats_.chunks_scanned;
-    stats_.vector_ops += scratch.insns_executed;
-    stats_.vector_lanes += scratch.lanes_evaluated;
-    stats_.rows_read += scratch.lanes_evaluated;
-    stats_.rows_examined += scratch.lanes_evaluated;
-    lanes += scratch.lanes_evaluated;
-    matches += scratch.match_count;
-    RETURN_IF_ERROR(matched);
-    for (size_t w = 0; w * 64 < chunk.lanes; ++w) {
-      uint64_t bits = scratch.match_bits[w];
-      while (bits != 0) {
-        const int lane = __builtin_ctzll(bits);
-        bits &= bits - 1;
-        out.push_back(lane_ids[w * 64 + static_cast<size_t>(lane)]);
-      }
+    if (*matched) {
+      out.push_back(id);
     }
   }
-  if (lanes > 0) {
-    stats_.selection_density_bp.store(matches * 10000 / lanes, std::memory_order_relaxed);
-  }
+  stats_.rows_read += examined;
+  stats_.rows_examined += examined;
+  RETURN_IF_ERROR(status);
   RETURN_IF_ERROR(StickyCacheError());
   return out;
 }

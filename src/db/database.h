@@ -89,48 +89,48 @@ struct DbStats {
   std::atomic<uint64_t> page_evictions{0};
   std::atomic<uint64_t> page_writebacks{0};
   std::atomic<uint64_t> resident_bytes{0};
-  // Batched residual evaluation (every statement that runs a residual).
-  // chunks_scanned counts chunk dispatches into the batched evaluator,
-  // vector_ops its instruction dispatches with a non-empty selection,
-  // vector_lanes the lanes evaluated. selection_density_bp is a gauge, not a
-  // counter: matching lanes per evaluated lane of the most recent residual
-  // statement, in basis points (10000 = every lane matched).
-  std::atomic<uint64_t> chunks_scanned{0};
-  std::atomic<uint64_t> vector_ops{0};
-  std::atomic<uint64_t> vector_lanes{0};
-  std::atomic<uint64_t> selection_density_bp{0};
 
   DbStats() = default;
   DbStats(const DbStats& o) { *this = o; }
-  // Hand-written because atomics are not copyable. When adding a counter,
-  // add it here too — DbPlannerTest.StatsCopyRoundTripsEveryCounter fails
-  // on any field this list misses.
-  DbStats& operator=(const DbStats& o) {
-    queries = o.queries.load(std::memory_order_relaxed);
-    rows_read = o.rows_read.load(std::memory_order_relaxed);
-    rows_inserted = o.rows_inserted.load(std::memory_order_relaxed);
-    rows_updated = o.rows_updated.load(std::memory_order_relaxed);
-    rows_deleted = o.rows_deleted.load(std::memory_order_relaxed);
-    index_lookups = o.index_lookups.load(std::memory_order_relaxed);
-    full_scans = o.full_scans.load(std::memory_order_relaxed);
-    rows_examined = o.rows_examined.load(std::memory_order_relaxed);
-    plan_cache_hits = o.plan_cache_hits.load(std::memory_order_relaxed);
-    plan_cache_misses = o.plan_cache_misses.load(std::memory_order_relaxed);
-    range_probes = o.range_probes.load(std::memory_order_relaxed);
-    page_hits = o.page_hits.load(std::memory_order_relaxed);
-    page_misses = o.page_misses.load(std::memory_order_relaxed);
-    page_evictions = o.page_evictions.load(std::memory_order_relaxed);
-    page_writebacks = o.page_writebacks.load(std::memory_order_relaxed);
-    resident_bytes = o.resident_bytes.load(std::memory_order_relaxed);
-    chunks_scanned = o.chunks_scanned.load(std::memory_order_relaxed);
-    vector_ops = o.vector_ops.load(std::memory_order_relaxed);
-    vector_lanes = o.vector_lanes.load(std::memory_order_relaxed);
-    selection_density_bp = o.selection_density_bp.load(std::memory_order_relaxed);
-    return *this;
-  }
+  // Atomics are not copyable: copies each counter in kDbStatsCounters.
+  DbStats& operator=(const DbStats& o);
 
   void Reset() { *this = DbStats{}; }
 };
+
+// Every DbStats counter once, with its name, in export order. The copy, the
+// sum across shards and the daemon's `db_<name>` export all walk this list;
+// DbPlannerTest.StatsCopyRoundTripsEveryCounter fails on a counter it misses.
+struct DbStatsCounter {
+  const char* name;
+  std::atomic<uint64_t> DbStats::*counter;
+};
+inline constexpr DbStatsCounter kDbStatsCounters[] = {
+    {"queries", &DbStats::queries},
+    {"rows_read", &DbStats::rows_read},
+    {"rows_inserted", &DbStats::rows_inserted},
+    {"rows_updated", &DbStats::rows_updated},
+    {"rows_deleted", &DbStats::rows_deleted},
+    {"index_lookups", &DbStats::index_lookups},
+    {"full_scans", &DbStats::full_scans},
+    {"rows_examined", &DbStats::rows_examined},
+    {"plan_cache_hits", &DbStats::plan_cache_hits},
+    {"plan_cache_misses", &DbStats::plan_cache_misses},
+    {"range_probes", &DbStats::range_probes},
+    {"page_hits", &DbStats::page_hits},
+    {"page_misses", &DbStats::page_misses},
+    {"page_evictions", &DbStats::page_evictions},
+    {"page_writebacks", &DbStats::page_writebacks},
+    {"resident_bytes", &DbStats::resident_bytes},
+};
+
+inline DbStats& DbStats::operator=(const DbStats& o) {
+  for (const DbStatsCounter& c : kDbStatsCounters) {
+    (this->*c.counter).store((o.*c.counter).load(std::memory_order_relaxed),
+                             std::memory_order_relaxed);
+  }
+  return *this;
+}
 
 // One column assignment in an UPDATE: column <- expression (evaluated per
 // row; the expression may reference the row's current columns and params).
@@ -517,12 +517,10 @@ class Database {
   StatusOr<std::vector<RowId>> MatchRows(const Table& table, const sql::Expr* pred,
                                          const sql::ParamMap& params) const;
 
-  // Residual filter: gathers the candidates' rows into row-pointer chunks of
-  // up to sql::kChunkLanes and runs the compiled program one instruction
-  // across each chunk. Surfaces the error a row-by-row loop would stop at
-  // first (MatchChunk reports the lowest errored lane; chunks run in
-  // candidate order, which is ascending RowId).
-  StatusOr<std::vector<RowId>> FilterCandidatesVectorized(
+  // Residual filter: runs the compiled program over each candidate row in
+  // candidate order (ascending RowId) and stops at the first row whose
+  // evaluation fails, returning that row's error.
+  StatusOr<std::vector<RowId>> FilterCandidates(
       const Table& table, const std::vector<RowId>& candidates,
       const sql::CompiledPredicate& residual, const sql::BoundParams& bound) const;
 

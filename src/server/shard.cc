@@ -264,31 +264,8 @@ std::vector<std::pair<std::string, uint64_t>> ShardSet::Stats() const {
   uint64_t active_disguises = 0;
   for (const Shard& shard : shards_) {
     const db::DbStats snapshot = shard.engine->db()->stats();
-    total.queries += snapshot.queries.load(std::memory_order_relaxed);
-    total.rows_read += snapshot.rows_read.load(std::memory_order_relaxed);
-    total.rows_inserted += snapshot.rows_inserted.load(std::memory_order_relaxed);
-    total.rows_updated += snapshot.rows_updated.load(std::memory_order_relaxed);
-    total.rows_deleted += snapshot.rows_deleted.load(std::memory_order_relaxed);
-    total.index_lookups += snapshot.index_lookups.load(std::memory_order_relaxed);
-    total.full_scans += snapshot.full_scans.load(std::memory_order_relaxed);
-    total.rows_examined += snapshot.rows_examined.load(std::memory_order_relaxed);
-    total.plan_cache_hits += snapshot.plan_cache_hits.load(std::memory_order_relaxed);
-    total.plan_cache_misses += snapshot.plan_cache_misses.load(std::memory_order_relaxed);
-    total.range_probes += snapshot.range_probes.load(std::memory_order_relaxed);
-    total.page_hits += snapshot.page_hits.load(std::memory_order_relaxed);
-    total.page_misses += snapshot.page_misses.load(std::memory_order_relaxed);
-    total.page_evictions += snapshot.page_evictions.load(std::memory_order_relaxed);
-    total.page_writebacks += snapshot.page_writebacks.load(std::memory_order_relaxed);
-    total.resident_bytes += snapshot.resident_bytes.load(std::memory_order_relaxed);
-    total.chunks_scanned += snapshot.chunks_scanned.load(std::memory_order_relaxed);
-    total.vector_ops += snapshot.vector_ops.load(std::memory_order_relaxed);
-    total.vector_lanes += snapshot.vector_lanes.load(std::memory_order_relaxed);
-    // Density is a gauge; summing across shards would be meaningless, so the
-    // aggregate reports the max (the busiest shard's most recent statement).
-    const uint64_t density =
-        snapshot.selection_density_bp.load(std::memory_order_relaxed);
-    if (density > total.selection_density_bp.load(std::memory_order_relaxed)) {
-      total.selection_density_bp.store(density, std::memory_order_relaxed);
+    for (const db::DbStatsCounter& c : db::kDbStatsCounters) {
+      total.*c.counter += (snapshot.*c.counter).load(std::memory_order_relaxed);
     }
     rows += shard.engine->db()->TotalRows();
     active_disguises += shard.engine->engine()->log().size();
@@ -296,7 +273,7 @@ std::vector<std::pair<std::string, uint64_t>> ShardSet::Stats() const {
   auto load = [](const std::atomic<uint64_t>& a) {
     return a.load(std::memory_order_relaxed);
   };
-  return {
+  std::vector<std::pair<std::string, uint64_t>> out = {
       {"shards", shards_.size()},
       {"total_rows", rows},
       {"active_disguises", active_disguises},
@@ -307,27 +284,11 @@ std::vector<std::pair<std::string, uint64_t>> ShardSet::Stats() const {
       {"globals", load(globals_)},
       {"conflict_retries", load(conflict_retries_)},
       {"frozen", frozen_.load() ? 1u : 0u},
-      {"db_queries", load(total.queries)},
-      {"db_rows_read", load(total.rows_read)},
-      {"db_rows_inserted", load(total.rows_inserted)},
-      {"db_rows_updated", load(total.rows_updated)},
-      {"db_rows_deleted", load(total.rows_deleted)},
-      {"db_index_lookups", load(total.index_lookups)},
-      {"db_full_scans", load(total.full_scans)},
-      {"db_rows_examined", load(total.rows_examined)},
-      {"db_plan_cache_hits", load(total.plan_cache_hits)},
-      {"db_plan_cache_misses", load(total.plan_cache_misses)},
-      {"db_range_probes", load(total.range_probes)},
-      {"db_page_hits", load(total.page_hits)},
-      {"db_page_misses", load(total.page_misses)},
-      {"db_page_evictions", load(total.page_evictions)},
-      {"db_page_writebacks", load(total.page_writebacks)},
-      {"db_resident_bytes", load(total.resident_bytes)},
-      {"db_chunks_scanned", load(total.chunks_scanned)},
-      {"db_vector_ops", load(total.vector_ops)},
-      {"db_vector_lanes", load(total.vector_lanes)},
-      {"db_selection_density_bp", load(total.selection_density_bp)},
   };
+  for (const db::DbStatsCounter& c : db::kDbStatsCounters) {
+    out.emplace_back(std::string("db_") + c.name, load(total.*c.counter));
+  }
+  return out;
 }
 
 }  // namespace edna::server

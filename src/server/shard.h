@@ -107,9 +107,9 @@ class ShardSet {
   Status Checkpoint();
   Status Flush();
 
-  // Named service counters: aggregated DbStats over all shards plus
-  // dispatch-level counters. Extending the list is a wire-compatible change
-  // (stats travel as name/value pairs).
+  // Named service counters: the dispatch-level counters, then every DbStats
+  // counter summed over all shards as `db_<name>`. Extending the list is a
+  // wire-compatible change (stats travel as name/value pairs).
   std::vector<std::pair<std::string, uint64_t>> Stats() const;
 
   bool frozen() const { return frozen_.load(); }

@@ -297,7 +297,6 @@ StatusOr<CompiledPredicate> CompiledPredicate::Compile(const Expr& expr,
   p.num_regs_ = builder.num_regs();
   p.result_reg_ = result;
   p.param_names_ = builder.TakeParams();
-  p.ClassifyRegisters();
   return p;
 }
 
@@ -309,41 +308,7 @@ CompiledPredicate CompiledPredicate::AssembleForTest(std::vector<Insn> code,
   p.num_regs_ = num_regs;
   p.result_reg_ = result_reg;
   p.param_names_ = std::move(param_names);
-  p.ClassifyRegisters();
   return p;
-}
-
-void CompiledPredicate::ClassifyRegisters() {
-  // A register is truth-class iff it is written at least once and every
-  // writer emits a truth-encoded value (Bool or Null). Such registers carry
-  // only three states per lane, so the chunked evaluator stores them as two
-  // bitmaps and the Kleene combines become word-wise logic. (kFail "writes"
-  // dst by raising, so it never constrains the class.)
-  truth_class_.assign(num_regs_, 0);
-  std::vector<uint8_t> written(num_regs_, 0);
-  std::vector<uint8_t> value_written(num_regs_, 0);
-  // AssembleForTest programs may name registers past num_regs_; skip them
-  // here and leave the rejection to VerifyProgram.
-  auto in_range = [this](int reg) { return reg >= 0 && static_cast<size_t>(reg) < num_regs_; };
-  for (const Insn& in : code_) {
-    if (!in_range(in.dst) || in.op == Op::kFail) {
-      continue;
-    }
-    bool truth_write = in.op == Op::kTruth || in.op == Op::kAndCombine ||
-                       in.op == Op::kOrCombine;
-    written[in.dst] = 1;
-    if (!truth_write) {
-      value_written[in.dst] = 1;
-    }
-    // kInInit/kInStep also write their saw_null flag register (b).
-    if ((in.op == Op::kInInit || in.op == Op::kInStep) && in_range(in.b)) {
-      written[in.b] = 1;
-      value_written[in.b] = 1;
-    }
-  }
-  for (size_t r = 0; r < num_regs_; ++r) {
-    truth_class_[r] = written[r] && !value_written[r];
-  }
 }
 
 // --- Execution ---------------------------------------------------------------
@@ -562,472 +527,6 @@ StatusOr<bool> CompiledPredicate::Matches(const Value* row, size_t row_width,
   Truth t = TruthOf(v, &err);
   RETURN_IF_ERROR(err);
   return t == Truth::kTrue;
-}
-
-// --- Batched execution -------------------------------------------------------
-
-namespace {
-
-bool GetBit(const std::vector<uint64_t>& words, uint32_t lane) {
-  return (words[lane >> 6] >> (lane & 63)) & 1;
-}
-
-void AssignBit(std::vector<uint64_t>* words, uint32_t lane, bool on) {
-  uint64_t mask = uint64_t{1} << (lane & 63);
-  if (on) {
-    (*words)[lane >> 6] |= mask;
-  } else {
-    (*words)[lane >> 6] &= ~mask;
-  }
-}
-
-}  // namespace
-
-void CompiledPredicate::RunChunk(const RowChunk& chunk, const BoundParams& params,
-                                 ChunkScratch* s) const {
-  const size_t lanes = chunk.lanes;
-  const size_t words = (lanes + 63) / 64;
-  const size_t n = code_.size();
-
-  s->vals.resize(num_regs_);
-  s->bits.resize(num_regs_);
-  for (size_t r = 0; r < num_regs_; ++r) {
-    if (truth_class_[r]) {
-      s->bits[r].truth.assign(words, 0);
-      s->bits[r].null.assign(words, 0);
-    } else if (s->vals[r].size() < lanes) {
-      s->vals[r].resize(lanes);
-    }
-  }
-  if (s->pending.size() < n + 1) {
-    s->pending.resize(n + 1);
-  }
-  for (auto& p : s->pending) {
-    p.clear();
-  }
-  s->lane_errors.clear();
-  s->insns_executed = 0;
-
-  std::vector<uint32_t>& sel = s->sel;
-  sel.clear();
-  for (uint32_t lane = 0; lane < lanes; ++lane) {
-    sel.push_back(lane);
-  }
-  s->lanes_evaluated = sel.size();
-
-  // Per-lane accessors that paper over the two register classes. `stash`
-  // gives materialized truth values a home so reads can stay by-reference.
-  Value stash_a, stash_b, stash_c;
-  auto ref = [&](int r, uint32_t lane, Value* stash) -> const Value& {
-    if (truth_class_[r]) {
-      *stash = GetBit(s->bits[r].null, lane)
-                   ? Value::Null()
-                   : Value::Bool(GetBit(s->bits[r].truth, lane));
-      return *stash;
-    }
-    return s->vals[r][lane];
-  };
-  auto get_truth = [&](int r, uint32_t lane) -> Truth {
-    // Operands of the truth ops are truth-encoded, so TruthOf cannot error.
-    if (truth_class_[r]) {
-      if (GetBit(s->bits[r].null, lane)) return Truth::kUnknown;
-      return GetBit(s->bits[r].truth, lane) ? Truth::kTrue : Truth::kFalse;
-    }
-    Status err = OkStatus();
-    return TruthOf(s->vals[r][lane], &err);
-  };
-  auto set_truth = [&](int r, uint32_t lane, Truth t) {
-    if (truth_class_[r]) {
-      AssignBit(&s->bits[r].truth, lane, t == Truth::kTrue);
-      AssignBit(&s->bits[r].null, lane, t == Truth::kUnknown);
-    } else {
-      s->vals[r][lane] = TruthToValue(t);
-    }
-  };
-
-  // Runs `fn` for each selected lane; a lane whose fn returns non-OK is
-  // retired with its error (the row loop would have aborted on it — the
-  // lowest such lane decides the chunk's status afterwards).
-  auto run_lanes = [&](auto&& fn) {
-    size_t out = 0;
-    for (uint32_t lane : sel) {
-      Status st = fn(lane);
-      if (st.ok()) {
-        sel[out++] = lane;
-      } else {
-        s->lane_errors.emplace_back(lane, std::move(st));
-      }
-    }
-    sel.resize(out);
-  };
-  // Fails every selected lane with the same status (whole-chunk errors:
-  // kFail, unbound params, bad column ordinals).
-  auto fail_all = [&](const Status& st) {
-    for (uint32_t lane : sel) {
-      s->lane_errors.emplace_back(lane, st);
-    }
-    sel.clear();
-  };
-  // Moves lanes satisfying `cond` to pending[target]; the rest fall through.
-  auto branch = [&](int target, auto&& cond) {
-    std::vector<uint32_t>& park = s->pending[static_cast<size_t>(target)];
-    size_t out = 0;
-    for (uint32_t lane : sel) {
-      if (cond(lane)) {
-        park.push_back(lane);
-      } else {
-        sel[out++] = lane;
-      }
-    }
-    sel.resize(out);
-  };
-
-  for (size_t pc = 0; pc < n; ++pc) {
-    if (!s->pending[pc].empty()) {
-      sel.insert(sel.end(), s->pending[pc].begin(), s->pending[pc].end());
-      s->pending[pc].clear();
-    }
-    if (sel.empty()) {
-      continue;
-    }
-    ++s->insns_executed;
-    const Insn& in = code_[pc];
-    switch (in.op) {
-      case Op::kConst:
-        for (uint32_t lane : sel) {
-          s->vals[in.dst][lane] = in.imm;
-        }
-        break;
-      case Op::kColumn:
-        if (static_cast<size_t>(in.a) >= chunk.row_width) {
-          fail_all(Internal(StrFormat("compiled predicate reads column %d of a %zu-wide row",
-                                      in.a, chunk.row_width)));
-          break;
-        }
-        for (uint32_t lane : sel) {
-          s->vals[in.dst][lane] = chunk.rows[lane][in.a];
-        }
-        break;
-      case Op::kParam:
-        if (!params.present(static_cast<size_t>(in.a))) {
-          fail_all(InvalidArgument("unbound parameter $" + in.text));
-          break;
-        }
-        for (uint32_t lane : sel) {
-          s->vals[in.dst][lane] = params.value(static_cast<size_t>(in.a));
-        }
-        break;
-      case Op::kFail:
-        fail_all(in.error);
-        break;
-      case Op::kNot:
-        run_lanes([&](uint32_t lane) -> Status {
-          Status err = OkStatus();
-          Truth t = TruthOf(ref(in.a, lane, &stash_a), &err);
-          RETURN_IF_ERROR(err);
-          s->vals[in.dst][lane] =
-              t == Truth::kUnknown ? Value::Null() : Value::Bool(t == Truth::kFalse);
-          return OkStatus();
-        });
-        break;
-      case Op::kNeg:
-        run_lanes([&](uint32_t lane) -> Status {
-          const Value& v = ref(in.a, lane, &stash_a);
-          if (v.is_null()) {
-            s->vals[in.dst][lane] = Value::Null();
-          } else if (v.is_int()) {
-            s->vals[in.dst][lane] = Value::Int(-v.AsInt());
-          } else {
-            ASSIGN_OR_RETURN(double d, v.ToNumber());
-            s->vals[in.dst][lane] = Value::Double(-d);
-          }
-          return OkStatus();
-        });
-        break;
-      case Op::kPlusOp:
-        run_lanes([&](uint32_t lane) -> Status {
-          const Value& v = ref(in.a, lane, &stash_a);
-          if (v.is_null()) {
-            s->vals[in.dst][lane] = Value::Null();
-          } else {
-            RETURN_IF_ERROR(v.ToNumber().status());
-            s->vals[in.dst][lane] = v;
-          }
-          return OkStatus();
-        });
-        break;
-      case Op::kCompare:
-        run_lanes([&](uint32_t lane) -> Status {
-          ASSIGN_OR_RETURN(Value v, CompareValues(in.bop, ref(in.a, lane, &stash_a),
-                                                  ref(in.b, lane, &stash_b)));
-          s->vals[in.dst][lane] = std::move(v);
-          return OkStatus();
-        });
-        break;
-      case Op::kArith:
-        run_lanes([&](uint32_t lane) -> Status {
-          ASSIGN_OR_RETURN(Value v, ArithmeticValues(in.bop, ref(in.a, lane, &stash_a),
-                                                     ref(in.b, lane, &stash_b)));
-          s->vals[in.dst][lane] = std::move(v);
-          return OkStatus();
-        });
-        break;
-      case Op::kConcatOp:
-        run_lanes([&](uint32_t lane) -> Status {
-          const Value& a = ref(in.a, lane, &stash_a);
-          const Value& b = ref(in.b, lane, &stash_b);
-          if (a.is_null() || b.is_null()) {
-            s->vals[in.dst][lane] = Value::Null();
-          } else {
-            s->vals[in.dst][lane] = Value::String(StringifyValue(a) + StringifyValue(b));
-          }
-          return OkStatus();
-        });
-        break;
-      case Op::kTruth:
-        if (truth_class_[in.dst] && truth_class_[in.a] && sel.size() == lanes) {
-          // Truth of a truth-encoded register is the identity: whole-chunk
-          // bitmap copy.
-          s->bits[in.dst].truth = s->bits[in.a].truth;
-          s->bits[in.dst].null = s->bits[in.a].null;
-          break;
-        }
-        run_lanes([&](uint32_t lane) -> Status {
-          Status err = OkStatus();
-          Truth t = TruthOf(ref(in.a, lane, &stash_a), &err);
-          RETURN_IF_ERROR(err);
-          set_truth(in.dst, lane, t);
-          return OkStatus();
-        });
-        break;
-      case Op::kJumpIfFalse:
-        branch(in.target, [&](uint32_t lane) {
-          if (truth_class_[in.a]) {
-            return !GetBit(s->bits[in.a].null, lane) && !GetBit(s->bits[in.a].truth, lane);
-          }
-          const Value& v = s->vals[in.a][lane];
-          return v.is_bool() && !v.AsBool();
-        });
-        break;
-      case Op::kJumpIfTrue:
-        branch(in.target, [&](uint32_t lane) {
-          if (truth_class_[in.a]) {
-            return !GetBit(s->bits[in.a].null, lane) && GetBit(s->bits[in.a].truth, lane);
-          }
-          const Value& v = s->vals[in.a][lane];
-          return v.is_bool() && v.AsBool();
-        });
-        break;
-      case Op::kAndCombine:
-      case Op::kOrCombine: {
-        bool and_op = in.op == Op::kAndCombine;
-        if (truth_class_[in.dst] && truth_class_[in.a] && truth_class_[in.b] &&
-            sel.size() == lanes) {
-          // Every lane is live (no lane short-circuited past this combine,
-          // so no lane's dst may be preserved): Kleene min/max word-wise.
-          //   AND: true = a&b;  unknown = (aN|bN) & ~aF & ~bF  (F = ~T & ~N)
-          //   OR:  true = a|b;  unknown = (aN|bN) & ~true
-          const ChunkScratch::TruthBits& a = s->bits[in.a];
-          const ChunkScratch::TruthBits& b = s->bits[in.b];
-          ChunkScratch::TruthBits& d = s->bits[in.dst];
-          for (size_t w = 0; w < words; ++w) {
-            uint64_t at = a.truth[w], an = a.null[w];
-            uint64_t bt = b.truth[w], bn = b.null[w];
-            if (and_op) {
-              uint64_t af = ~at & ~an;
-              uint64_t bf = ~bt & ~bn;
-              d.truth[w] = at & bt;
-              d.null[w] = (an | bn) & ~af & ~bf;
-            } else {
-              d.truth[w] = at | bt;
-              d.null[w] = (an | bn) & ~d.truth[w];
-            }
-          }
-          break;
-        }
-        for (uint32_t lane : sel) {
-          Truth a = get_truth(in.a, lane);
-          Truth b = get_truth(in.b, lane);
-          set_truth(in.dst, lane, and_op ? std::min(a, b) : std::max(a, b));
-        }
-        break;
-      }
-      case Op::kIsNullOp:
-        for (uint32_t lane : sel) {
-          bool is_null = truth_class_[in.a] ? GetBit(s->bits[in.a].null, lane)
-                                            : s->vals[in.a][lane].is_null();
-          s->vals[in.dst][lane] = Value::Bool(in.negated ? !is_null : is_null);
-        }
-        break;
-      case Op::kInInit:
-        branch(in.target, [&](uint32_t lane) {
-          if (ref(in.a, lane, &stash_a).is_null()) {
-            s->vals[in.dst][lane] = Value::Null();
-            return true;
-          }
-          s->vals[in.b][lane] = Value::Bool(false);
-          return false;
-        });
-        break;
-      case Op::kInStep: {
-        // Three-way split per lane: null item records saw_null and falls
-        // through, a match writes the result and exits the list, an error
-        // retires the lane.
-        std::vector<uint32_t>& park = s->pending[static_cast<size_t>(in.target)];
-        size_t out = 0;
-        for (uint32_t lane : sel) {
-          const Value& item = ref(in.c, lane, &stash_c);
-          if (item.is_null()) {
-            s->vals[in.b][lane] = Value::Bool(true);
-            sel[out++] = lane;
-            continue;
-          }
-          StatusOr<Value> eq =
-              CompareValues(BinaryOp::kEq, ref(in.a, lane, &stash_a), item);
-          if (!eq.ok()) {
-            s->lane_errors.emplace_back(lane, eq.status());
-            continue;
-          }
-          if (!eq->is_null() && eq->AsBool()) {
-            s->vals[in.dst][lane] = Value::Bool(!in.negated);
-            park.push_back(lane);
-          } else {
-            sel[out++] = lane;
-          }
-        }
-        sel.resize(out);
-        break;
-      }
-      case Op::kInFinish:
-        for (uint32_t lane : sel) {
-          if (s->vals[in.b][lane].AsBool()) {
-            s->vals[in.dst][lane] = Value::Null();
-          } else {
-            s->vals[in.dst][lane] = Value::Bool(in.negated);
-          }
-        }
-        break;
-      case Op::kBetweenOp:
-        run_lanes([&](uint32_t lane) -> Status {
-          const Value& v = ref(in.a, lane, &stash_a);
-          ASSIGN_OR_RETURN(Value ge, CompareValues(BinaryOp::kGe, v, ref(in.b, lane, &stash_b)));
-          ASSIGN_OR_RETURN(Value le, CompareValues(BinaryOp::kLe, v, ref(in.c, lane, &stash_c)));
-          Status err = OkStatus();
-          Truth tg = TruthOf(ge, &err);
-          RETURN_IF_ERROR(err);
-          Truth tl = TruthOf(le, &err);
-          RETURN_IF_ERROR(err);
-          Truth both = std::min(tg, tl);  // Kleene AND
-          if (in.negated) {
-            s->vals[in.dst][lane] = both == Truth::kUnknown
-                                        ? Value::Null()
-                                        : Value::Bool(both == Truth::kFalse);
-          } else {
-            s->vals[in.dst][lane] = TruthToValue(both);
-          }
-          return OkStatus();
-        });
-        break;
-      case Op::kLikeOp:
-        run_lanes([&](uint32_t lane) -> Status {
-          const Value& v = ref(in.a, lane, &stash_a);
-          const Value& pat = ref(in.b, lane, &stash_b);
-          if (v.is_null() || pat.is_null()) {
-            s->vals[in.dst][lane] = Value::Null();
-          } else if (!v.is_string() || !pat.is_string()) {
-            return InvalidArgument("LIKE requires string operands");
-          } else {
-            bool m = LikeMatch(v.AsString(), pat.AsString());
-            s->vals[in.dst][lane] = Value::Bool(in.negated ? !m : m);
-          }
-          return OkStatus();
-        });
-        break;
-      case Op::kCall:
-        run_lanes([&](uint32_t lane) -> Status {
-          std::vector<Value> args;
-          args.reserve(in.args.size());
-          for (int r : in.args) {
-            args.push_back(ref(r, lane, &stash_a));
-          }
-          ASSIGN_OR_RETURN(Value v, CallScalarFunction(in.text, args));
-          s->vals[in.dst][lane] = std::move(v);
-          return OkStatus();
-        });
-        break;
-    }
-  }
-
-  // Lanes parked exactly at end-of-program completed via a jump.
-  if (n < s->pending.size() && !s->pending[n].empty()) {
-    sel.insert(sel.end(), s->pending[n].begin(), s->pending[n].end());
-    s->pending[n].clear();
-  }
-}
-
-Status CompiledPredicate::MatchChunk(const RowChunk& chunk, const BoundParams& params,
-                                     ChunkScratch* s) const {
-  RunChunk(chunk, params, s);
-  s->match_bits.fill(0);
-  s->match_count = 0;
-  if (truth_class_[result_reg_]) {
-    // Truth-encoded result: TRUE lanes are exactly the set truth bits.
-    const ChunkScratch::TruthBits& res = s->bits[result_reg_];
-    for (uint32_t lane : s->sel) {
-      if (GetBit(res.truth, lane) && !GetBit(res.null, lane)) {
-        s->match_bits[lane >> 6] |= uint64_t{1} << (lane & 63);
-        ++s->match_count;
-      }
-    }
-  } else {
-    for (uint32_t lane : s->sel) {
-      const Value& v = s->vals[result_reg_][lane];
-      if (v.is_null()) {
-        continue;  // UNKNOWN filters out
-      }
-      Status err = OkStatus();
-      Truth t = TruthOf(v, &err);
-      if (!err.ok()) {
-        s->lane_errors.emplace_back(lane, std::move(err));
-        continue;
-      }
-      if (t == Truth::kTrue) {
-        s->match_bits[lane >> 6] |= uint64_t{1} << (lane & 63);
-        ++s->match_count;
-      }
-    }
-  }
-  if (!s->lane_errors.empty()) {
-    // Row-at-a-time evaluation stops at the first erroring row, so the
-    // lowest lane's error is the one the caller would have seen.
-    const std::pair<uint32_t, Status>* first = &s->lane_errors[0];
-    for (const auto& le : s->lane_errors) {
-      if (le.first < first->first) {
-        first = &le;
-      }
-    }
-    return first->second;
-  }
-  return OkStatus();
-}
-
-void CompiledPredicate::EvalChunk(const RowChunk& chunk, const BoundParams& params,
-                                  ChunkScratch* s, std::vector<StatusOr<Value>>* out) const {
-  RunChunk(chunk, params, s);
-  out->assign(chunk.lanes, Value::Null());
-  Value stash;
-  for (uint32_t lane : s->sel) {
-    if (truth_class_[result_reg_]) {
-      (*out)[lane] = GetBit(s->bits[result_reg_].null, lane)
-                         ? Value::Null()
-                         : Value::Bool(GetBit(s->bits[result_reg_].truth, lane));
-    } else {
-      (*out)[lane] = s->vals[result_reg_][lane];
-    }
-  }
-  for (auto& le : s->lane_errors) {
-    (*out)[le.first] = le.second;
-  }
 }
 
 }  // namespace edna::sql

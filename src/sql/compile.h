@@ -19,11 +19,9 @@
 #ifndef SRC_SQL_COMPILE_H_
 #define SRC_SQL_COMPILE_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -32,12 +30,6 @@
 #include "src/sql/value.h"
 
 namespace edna::sql {
-
-// Lane count of one evaluation chunk: compiled programs can run one
-// instruction across up to this many rows at a time (EvalChunk/MatchChunk
-// below).
-constexpr size_t kChunkLanes = 1024;
-constexpr size_t kChunkWords = kChunkLanes / 64;
 
 // Resolves an (optionally table-qualified) column reference to its ordinal
 // in the row layout the program will run against. A non-OK status is
@@ -63,37 +55,6 @@ class BoundParams {
 // One per evaluating thread; pass the same instance across rows.
 struct EvalScratch {
   std::vector<Value> regs;
-};
-
-// One chunk of rows for batched evaluation: rows[lane] points at
-// `row_width` positional Values (candidate rows gathered out of row storage).
-struct RowChunk {
-  size_t lanes = 0;
-  size_t row_width = 0;
-  const Value* const* rows = nullptr;
-};
-
-// Reusable per-thread state for chunked evaluation: the vectorized register
-// file (truth-class registers as value/null bitmaps, everything else as a
-// Value vector per register), the selection vectors, and the outputs of the
-// last MatchChunk call. Steady state allocates nothing.
-struct ChunkScratch {
-  struct TruthBits {
-    std::vector<uint64_t> truth;  // lane bit: value is TRUE
-    std::vector<uint64_t> null;   // lane bit: value is UNKNOWN/Null
-  };
-  std::vector<std::vector<Value>> vals;  // value-class register lanes
-  std::vector<TruthBits> bits;           // truth-class register lanes
-  std::vector<uint32_t> sel;             // lanes executing the current insn
-  std::vector<std::vector<uint32_t>> pending;  // lanes parked at a jump target
-  std::vector<std::pair<uint32_t, Status>> lane_errors;
-
-  // MatchChunk outputs: matching lanes, lanes evaluated, instruction
-  // dispatches with a non-empty selection (feeds the db vector counters).
-  std::array<uint64_t, kChunkWords> match_bits{};
-  uint64_t lanes_evaluated = 0;
-  uint64_t match_count = 0;
-  uint64_t insns_executed = 0;
 };
 
 class CompiledPredicate {
@@ -154,9 +115,7 @@ class CompiledPredicate {
   BoundParams BindParams(const ParamMap& params) const;
 
   // Evaluates against one row (positional values, `row_width` columns).
-  // Result may be Null (UNKNOWN). EvalRow and Matches are the one-row
-  // reference forms the batched forms below are tested against; the
-  // database runs MatchChunk.
+  // Result may be Null (UNKNOWN).
   StatusOr<Value> EvalRow(const Value* row, size_t row_width, const BoundParams& params,
                           EvalScratch* scratch) const;
 
@@ -164,28 +123,6 @@ class CompiledPredicate {
   // sql::EvaluatePredicate.
   StatusOr<bool> Matches(const Value* row, size_t row_width, const BoundParams& params,
                          EvalScratch* scratch) const;
-
-  // Batched evaluation: runs the program one INSTRUCTION across the whole
-  // chunk instead of one ROW through the whole program. Short-circuit jumps
-  // become selection-vector splits (jumping lanes park at the forward
-  // target; all jumps Compile() emits are forward), Kleene AND/OR combine
-  // truth bitmaps word-wise when every lane is live, and per-lane semantics
-  // — including evaluation order within a lane and every error message —
-  // match EvalRow exactly. A lane that raises is retired with its error;
-  // because row-at-a-time evaluation surfaces the first row's error, the
-  // lowest errored lane's status is the chunk's status.
-  //
-  // On OK, scratch->match_bits holds the lanes where the predicate is TRUE
-  // (NULL/FALSE filter out, as in Matches). On error, match bits are
-  // meaningless. scratch->lanes_evaluated / match_count / insns_executed
-  // describe the run either way.
-  Status MatchChunk(const RowChunk& chunk, const BoundParams& params,
-                    ChunkScratch* scratch) const;
-
-  // Differential-oracle form: per-lane value-or-error, element i holding
-  // exactly what EvalRow would return for row i.
-  void EvalChunk(const RowChunk& chunk, const BoundParams& params, ChunkScratch* scratch,
-                 std::vector<StatusOr<Value>>* out) const;
 
   size_t num_instructions() const { return code_.size(); }
   size_t num_registers() const { return num_regs_; }
@@ -206,17 +143,10 @@ class CompiledPredicate {
 
   CompiledPredicate() = default;
 
-  // Marks registers whose every writer is a truth-encoding op (kTruth,
-  // kAndCombine, kOrCombine): those live as bitmaps in ChunkScratch.
-  void ClassifyRegisters();
-  void RunChunk(const RowChunk& chunk, const BoundParams& params,
-                ChunkScratch* scratch) const;
-
   std::vector<Insn> code_;
   size_t num_regs_ = 0;
   int result_reg_ = -1;
   std::vector<std::string> param_names_;  // slot -> name
-  std::vector<uint8_t> truth_class_;      // reg -> lives as truth bitmaps
 };
 
 }  // namespace edna::sql

@@ -355,7 +355,7 @@ TEST_F(FaultInjectionTest, DoubleFaultDuringCompensation) {
     EXPECT_FALSE(w.db.InTransaction());
     ExpectConsistent(&w, "after double-fault recovery");
 
-    // Unappend-path double fault: log drop fails while unwinding.
+    // log.unappend double fault: the log drop fails while unwinding.
     World w2;
     FailPoints::Instance().Enable(failpoints::kVaultStore,
                                   {.action = FailPointAction::kReturnError,
@@ -370,6 +370,46 @@ TEST_F(FaultInjectionTest, DoubleFaultDuringCompensation) {
     ASSERT_TRUE(recovered2.ok()) << recovered2.status();
     ExpectConsistent(&w2, "after log-unappend double-fault recovery");
   }
+}
+
+// Double fault, then another apply before recovery: the failed apply's
+// unwind cannot remove its vault records, so its journal entry stays pending
+// under its disguise id. The next apply must get a fresh id; were it handed
+// the pending one, Recover() would clear that committed apply's vault
+// records and log entry, and the account it removed could never come back.
+TEST_F(FaultInjectionTest, FailedUnwindDoesNotLendItsIdToTheNextApply) {
+  World w;
+  FailPoints::Instance().Enable(failpoints::kApplyBeforeCommit,
+                                {.action = FailPointAction::kReturnError,
+                                 .trigger = FailPointTrigger::kOneShot,
+                                 .n = 1});
+  FailPoints::Instance().Enable(failpoints::kVaultRemove,
+                                {.action = FailPointAction::kReturnError,
+                                 .trigger = FailPointTrigger::kOneShot,
+                                 .n = 1});
+  auto failed = w.engine->ApplyForUser("Scrub", Value::Int(1));
+  FailPoints::Instance().DisableAll();
+  ASSERT_FALSE(failed.ok());
+  ASSERT_EQ(w.engine->journal().size(), 1u) << "the failed unwind left nothing pending";
+
+  auto axl = sql::ParseExpression("\"id\" = 2 AND \"name\" = 'Axl'");
+  ASSERT_TRUE(axl.ok()) << axl.status();
+  auto applied = w.engine->ApplyForUser("Scrub", Value::Int(2));
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  EXPECT_TRUE(w.db.Select("users", axl->get(), {})->empty());
+
+  auto recovered = w.engine->Recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered->applies_rolled_back, 1u);
+  ExpectConsistent(&w, "after recovering the failed apply");
+
+  // Recovery dropped only the failed apply; the committed one reverses.
+  ASSERT_EQ(w.engine->log().size(), 1u);
+  EXPECT_EQ(w.engine->log().entries().front().id, applied->disguise_id);
+  auto revealed = w.engine->Reveal(applied->disguise_id);
+  ASSERT_TRUE(revealed.ok()) << revealed.status();
+  EXPECT_EQ(w.db.Select("users", axl->get(), {})->size(), 1u);
+  ExpectConsistent(&w, "after revealing the committed apply");
 }
 
 // Crash after commit: the apply is durable; recovery rolls it forward and

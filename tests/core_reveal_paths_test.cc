@@ -57,21 +57,6 @@ TEST(DisguiseLogTest, ActiveIntervals) {
   EXPECT_EQ(after[2].id, 5u);
 }
 
-TEST(DisguiseLogTest, UnappendOnlyRemovesLast) {
-  DisguiseLog log(nullptr);
-  auto id1 = log.Append("A", {}, Value::Null(), 1, true);
-  auto id2 = log.Append("B", {}, Value::Null(), 2, true);
-  ASSERT_TRUE(id1.ok());
-  ASSERT_TRUE(id2.ok());
-  EXPECT_FALSE(log.Unappend(*id1).ok());  // not the last
-  EXPECT_TRUE(log.Unappend(*id2).ok());
-  EXPECT_EQ(log.size(), 1u);
-  // The freed id is reused.
-  auto id3 = log.Append("C", {}, Value::Null(), 3, true);
-  ASSERT_TRUE(id3.ok());
-  EXPECT_EQ(*id3, *id2);
-}
-
 // --- Reveal filtering: restored ROWS through later disguises ----------------------
 
 class RevealPathsTest : public ::testing::Test {

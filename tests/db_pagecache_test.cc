@@ -178,7 +178,7 @@ constexpr uint64_t kUnboundedBudget = 1ull << 30;  // 1 GiB: never evicts
 
 TEST(PageCachePropertyTest, VectorizedScanSurvivesEvictionAndMatchesRowMode) {
   // Under a one-byte budget every statement boundary evicts, so each scan
-  // gathers its chunks from pages faulted back in from spilled extents — and
+  // reads its rows from pages faulted back in from spilled extents — and
   // must still return exactly the rows a row-by-row reference filter does.
   TempDir tmp;
   DurableOptions opts;
@@ -200,7 +200,7 @@ TEST(PageCachePropertyTest, VectorizedScanSurvivesEvictionAndMatchesRowMode) {
   const size_t matched = rows->size();
   Settle(db);
   EXPECT_TRUE(oracle::SelectMatchesReference(*db, "items", **pred, {}));
-  EXPECT_GT(db->stats().chunks_scanned.load(), 0u);
+  EXPECT_GT(db->stats().rows_examined.load(), 0u);
 
   // A mutation between scans (with its own eviction round at the statement
   // boundary) must be visible to the next scan.

@@ -2,7 +2,7 @@
 // probe selection (equality, IN, range/BETWEEN, IS NULL, OR union, conjunct
 // intersection), plan cache behavior and invalidation, the DbStats counter
 // contract, ordered-index maintenance under transaction rollback, and the
-// batched residual evaluator checked against a row-by-row reference.
+// compiled residual filter checked against a row-by-row reference.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -330,10 +330,10 @@ TEST_F(PlannerTest, RollbackRestoresNullSet) {
 // --- DbStats contract --------------------------------------------------------
 
 TEST(DbPlannerTest, StatsCopyRoundTripsEveryCounter) {
-  // DbStats::operator= lists fields by hand (atomics are not copyable).
-  // This test sets every counter to a distinct value and round-trips it;
-  // the sizeof tripwire below fails compilation-independent if a new field
-  // is added without extending BOTH the assignment and this list.
+  // DbStats::operator= copies the counters kDbStatsCounters names (atomics
+  // are not copyable). This test sets every counter to a distinct value and
+  // round-trips it; the sizeof tripwire below fails if a new field is added
+  // without extending BOTH kDbStatsCounters and this list.
   DbStats stats;
   stats.queries = 1;
   stats.rows_read = 2;
@@ -351,10 +351,6 @@ TEST(DbPlannerTest, StatsCopyRoundTripsEveryCounter) {
   stats.page_evictions = 14;
   stats.page_writebacks = 15;
   stats.resident_bytes = 16;
-  stats.chunks_scanned = 17;
-  stats.vector_ops = 18;
-  stats.vector_lanes = 19;
-  stats.selection_density_bp = 20;
 
   DbStats copy = stats;
   EXPECT_EQ(copy.queries, 1u);
@@ -373,14 +369,10 @@ TEST(DbPlannerTest, StatsCopyRoundTripsEveryCounter) {
   EXPECT_EQ(copy.page_evictions, 14u);
   EXPECT_EQ(copy.page_writebacks, 15u);
   EXPECT_EQ(copy.resident_bytes, 16u);
-  EXPECT_EQ(copy.chunks_scanned, 17u);
-  EXPECT_EQ(copy.vector_ops, 18u);
-  EXPECT_EQ(copy.vector_lanes, 19u);
-  EXPECT_EQ(copy.selection_density_bp, 20u);
 
-  // 20 counters. If this assert fires you added a DbStats field: extend
-  // operator=, the block above, and this count.
-  EXPECT_EQ(sizeof(DbStats), 20 * sizeof(std::atomic<uint64_t>));
+  // 16 counters. If this assert fires you added a DbStats field: extend
+  // kDbStatsCounters, the block above, and this count.
+  EXPECT_EQ(sizeof(DbStats), 16 * sizeof(std::atomic<uint64_t>));
 
   copy.Reset();
   EXPECT_EQ(copy.queries, 0u);
@@ -432,10 +424,10 @@ TEST(DbPlannerTest, PlannerCorpusProgramsPassTheStaticChecker) {
 
 // --- Residual evaluation against the reference ------------------------------
 //
-// Every residual runs through the batched evaluator (row-pointer chunks of
-// sql::kChunkLanes rows). oracle::SelectMatchesReference pits Select against
-// a row-by-row AST interpretation of the same statement: same rows, same
-// order, same first error.
+// Every residual runs the compiled program over its candidates row by row.
+// oracle::SelectMatchesReference pits Select against a row-by-row AST
+// interpretation of the same statement: same rows, same order, same first
+// error.
 
 const sql::ParamMap kCorpusParams = {{"UID", Value::Int(2)}, {"MIN", Value::Int(8)}};
 
@@ -448,15 +440,15 @@ TEST(ReferenceOracleTest, PlannerCorpusMatchesOnTheSmallFixture) {
 }
 
 TEST(ReferenceOracleTest, PlannerCorpusMatchesAcrossChunks) {
-  // More than two chunks with a partial tail, so full scans and wide probe
-  // lists gather several chunks and a short last one.
-  constexpr int kRows = 2 * static_cast<int>(sql::kChunkLanes) + 300;
+  // Thousands of rows, so full scans and wide probe lists run the residual
+  // over a table far larger than the 30-row fixture.
+  constexpr int kRows = 2348;
   Database db;
   BuildEvents(&db, kRows);
   for (const char* text : kPlannerCorpus) {
     EXPECT_TRUE(oracle::SelectMatchesReference(db, "events", *Pred(text), kCorpusParams));
   }
-  // Shapes whose matches straddle chunk boundaries.
+  // Shapes whose matches spread across the whole table.
   const char* kWide[] = {
       "\"score\" BETWEEN 1000 AND 2100 AND \"note\" LIKE 'n1%'",
       "\"note\" LIKE '%7'",
@@ -466,9 +458,9 @@ TEST(ReferenceOracleTest, PlannerCorpusMatchesAcrossChunks) {
     EXPECT_TRUE(oracle::SelectMatchesReference(db, "events", *Pred(text), {}));
   }
   // Runtime errors: the division-by-zero row (score 2100, RowId 2101) sits
-  // in the third chunk, ahead of a modulo-by-zero row in the same chunk, and
-  // the second predicate puts a modulo-by-zero row in the second chunk ahead
-  // of both. Select must stop at the same first error the reference does.
+  // ahead of a modulo-by-zero row (score 2300), and the second predicate
+  // puts a modulo-by-zero row (score 1500) ahead of both. Select must stop
+  // at the same first error the reference does.
   const char* kErrors[] = {
       "100 / (\"score\" - 2100) + 100 % (\"score\" - 2300) >= 0",
       "100 / (\"score\" - 2100) + 100 % (\"score\" - 1500) >= 0",
@@ -480,7 +472,7 @@ TEST(ReferenceOracleTest, PlannerCorpusMatchesAcrossChunks) {
   }
 }
 
-// Statements whose plan leaves a residual: the batched evaluator runs it.
+// Statements whose plan leaves a residual: the compiled program runs it.
 class VectorizedTest : public PlannerTest {};
 
 TEST_F(VectorizedTest, SeesMutationsDeletesAndRollbacks) {
@@ -513,14 +505,6 @@ TEST_F(VectorizedTest, SeesMutationsDeletesAndRollbacks) {
 }
 
 TEST_F(VectorizedTest, VectorCountersMoveOnlyOnResidualStatements) {
-  auto counters = [this] {
-    return std::vector<uint64_t>{db_.stats().chunks_scanned.load(),
-                                 db_.stats().vector_ops.load(),
-                                 db_.stats().vector_lanes.load(),
-                                 db_.stats().selection_density_bp.load()};
-  };
-  const std::vector<uint64_t> zero(4, 0);
-
   // Exact plans, the `col = $param` fast path and constant folds never reach
   // the residual evaluator.
   SelectScores("\"user_id\" IS NULL");       // exact probe
@@ -530,29 +514,19 @@ TEST_F(VectorizedTest, VectorCountersMoveOnlyOnResidualStatements) {
   SelectScores("\"kind\" = 'view'");         // fast path, literal
   SelectScores("TRUE");                        // constant
   SelectScores("1 = 2");                       // constant
-  EXPECT_EQ(counters(), zero);
   EXPECT_EQ(db_.stats().rows_examined, 0u);
 
-  // A full scan with a residual: one chunk, one lane per live row, and every
-  // row matches, so the density gauge pegs at 10000 bp.
+  // A full scan with a residual evaluates every live row.
   SelectScores("\"note\" <> ''");
-  EXPECT_EQ(db_.stats().chunks_scanned, 1u);
-  EXPECT_GT(db_.stats().vector_ops, 0u);
-  EXPECT_EQ(db_.stats().vector_lanes, 30u);
-  EXPECT_EQ(db_.stats().selection_density_bp, 10000u);
+  EXPECT_EQ(db_.stats().rows_examined, 30u);
 
-  // A probe with a residual evaluates only the probed candidates, and the
-  // gauge takes that statement's density (3 of the 5 in-range rows match).
-  const uint64_t lanes = db_.stats().vector_lanes.load();
+  // A probe with a residual evaluates only the probed candidates.
   SelectScores("\"score\" BETWEEN 10 AND 14 AND \"note\" <> 'n11' AND \"note\" <> 'n12'");
-  EXPECT_EQ(db_.stats().chunks_scanned, 2u);
-  EXPECT_EQ(db_.stats().vector_lanes - lanes, 5u);
-  EXPECT_EQ(db_.stats().selection_density_bp, 6000u);
+  EXPECT_EQ(db_.stats().rows_examined, 35u);
 
-  // A statement with no residual leaves every counter where it was.
-  const std::vector<uint64_t> before = counters();
+  // A statement with no residual leaves the count where it was.
   SelectScores("\"user_id\" = 3");
-  EXPECT_EQ(counters(), before);
+  EXPECT_EQ(db_.stats().rows_examined, 35u);
 }
 
 }  // namespace

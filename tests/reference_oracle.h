@@ -1,7 +1,7 @@
 // Reference oracle for Database::Select: reads every row of the table with
 // no predicate and filters the rows one at a time through the AST
 // interpreter (sql::EvaluatePredicate). It shares nothing with the planner,
-// the plan cache, the index probes or the compiled batched evaluator, so
+// the plan cache, the index probes or the compiled program, so
 // agreeing with it means those layers changed no result and no error.
 #ifndef TESTS_REFERENCE_ORACLE_H_
 #define TESTS_REFERENCE_ORACLE_H_

@@ -6,14 +6,17 @@
 // Runs under the default ctest label and must be ASan-clean.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/db/database.h"
 #include "src/server/client.h"
 #include "src/server/protocol.h"
 #include "src/server/server.h"
@@ -372,6 +375,69 @@ TEST_F(ServerWireTest, ShutdownVerbStopsTheDaemon) {
   ASSERT_TRUE(client->Shutdown().ok());
   rig_.server->WaitForShutdown();
   EXPECT_FALSE(rig_.server->running());
+}
+
+// The stats reply carries every database counter as db_<name>, in a fixed
+// order, each summed over all shards.
+TEST(ServerStatsTest, StatsReplySumsEveryDbCounterOverBothShards) {
+  using Counter = std::atomic<uint64_t> db::DbStats::*;
+  const std::vector<std::pair<std::string, Counter>> kExported = {
+      {"db_queries", &db::DbStats::queries},
+      {"db_rows_read", &db::DbStats::rows_read},
+      {"db_rows_inserted", &db::DbStats::rows_inserted},
+      {"db_rows_updated", &db::DbStats::rows_updated},
+      {"db_rows_deleted", &db::DbStats::rows_deleted},
+      {"db_index_lookups", &db::DbStats::index_lookups},
+      {"db_full_scans", &db::DbStats::full_scans},
+      {"db_rows_examined", &db::DbStats::rows_examined},
+      {"db_plan_cache_hits", &db::DbStats::plan_cache_hits},
+      {"db_plan_cache_misses", &db::DbStats::plan_cache_misses},
+      {"db_range_probes", &db::DbStats::range_probes},
+      {"db_page_hits", &db::DbStats::page_hits},
+      {"db_page_misses", &db::DbStats::page_misses},
+      {"db_page_evictions", &db::DbStats::page_evictions},
+      {"db_page_writebacks", &db::DbStats::page_writebacks},
+      {"db_resident_bytes", &db::DbStats::resident_bytes},
+  };
+
+  ShardRig rig;
+  ASSERT_TRUE(rig.Open(/*num_shards=*/2, /*threads_per_shard=*/1, /*num_users=*/8).ok());
+  ASSERT_TRUE(rig.Serve().ok());
+  auto client = rig.Connect();
+  ASSERT_TRUE(client.ok()) << client.status();
+  for (int uid = 1; uid <= 8; ++uid) {
+    auto applied = (*client)->Apply("Scrub", Value::Int(uid));
+    ASSERT_TRUE(applied.ok()) << applied.status();
+  }
+
+  auto shard_sums = [&rig, &kExported] {
+    std::vector<uint64_t> sums(kExported.size(), 0);
+    for (size_t shard = 0; shard < rig.shards->num_shards(); ++shard) {
+      const db::DbStats stats = rig.shards->engine(shard)->db()->stats();
+      EXPECT_GT(stats.queries.load(), 0u) << "shard " << shard << " ran no statement";
+      for (size_t i = 0; i < kExported.size(); ++i) {
+        sums[i] += (stats.*kExported[i].second).load();
+      }
+    }
+    return sums;
+  };
+  const std::vector<uint64_t> before = shard_sums();
+  auto stats = (*client)->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  ASSERT_EQ(shard_sums(), before) << "the daemon was not idle";
+
+  std::vector<std::string> db_names;
+  for (const auto& [name, value] : stats->counters) {
+    if (name.rfind("db_", 0) == 0) {
+      db_names.push_back(name);
+    }
+  }
+  std::vector<std::string> want_names;
+  for (size_t i = 0; i < kExported.size(); ++i) {
+    want_names.push_back(kExported[i].first);
+    EXPECT_EQ(stats->Get(kExported[i].first), before[i]) << kExported[i].first;
+  }
+  EXPECT_EQ(db_names, want_names);
 }
 
 }  // namespace

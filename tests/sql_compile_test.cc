@@ -272,10 +272,6 @@ class Fuzzer {
     return params;
   }
 
-  // Shape knobs for the chunked fuzzer below.
-  size_t PickN(size_t n) { return Pick(n); }
-  bool Coin(int percent) { return Chance(percent); }
-
  private:
   ExprPtr RandomLeaf() {
     switch (Pick(4)) {
@@ -361,126 +357,6 @@ TEST(SqlCompileFuzzTest, ProgramIsReusableAcrossRows) {
             << expr->ToString();
       }
     }
-  }
-}
-
-// --- Vectorized (chunked) differential fuzzer --------------------------------
-//
-// The batched evaluator runs one instruction across a whole chunk; these
-// pits it lane-by-lane against the tree interpreter (the original oracle)
-// over random programs and random chunks: 3200 chunk evaluations spanning
-// lane counts that cross the 64-lane bitmap word boundary, and dense
-// full-size chunks that take the word-wise Kleene paths.
-
-struct ChunkCase {
-  std::vector<std::vector<Value>> rows;
-  std::vector<const Value*> row_ptrs;
-  RowChunk chunk;
-
-  ChunkCase(Fuzzer* fuzz, size_t lanes) {
-    rows.reserve(lanes);
-    for (size_t i = 0; i < lanes; ++i) {
-      rows.push_back(fuzz->RandomRow());
-    }
-    for (const auto& r : rows) {
-      row_ptrs.push_back(r.data());
-    }
-    chunk.lanes = lanes;
-    chunk.row_width = kColumns.size();
-    chunk.rows = row_ptrs.data();
-  }
-};
-
-TEST(SqlVectorFuzzTest, ChunkEvaluationAgreesWithInterpreterLaneByLane) {
-  Fuzzer fuzz(0x5EED);
-  ChunkScratch scratch;
-  std::vector<StatusOr<Value>> out;
-  for (int iter = 0; iter < 3200; ++iter) {
-    ExprPtr expr = fuzz.RandomExpr(4);
-    auto compiled = CompiledPredicate::Compile(*expr, TestBinder());
-    ASSERT_TRUE(compiled.ok()) << expr->ToString();
-    ParamMap params = fuzz.RandomParams();
-    BoundParams bound = compiled->BindParams(params);
-
-    // Mostly small chunks; periodically cross the 64-lane word boundary, and
-    // occasionally a full dense chunk to hit the word-wise combine paths.
-    size_t lanes = 1 + fuzz.PickN(24);
-    if (iter % 16 == 0) lanes = 65 + fuzz.PickN(66);
-    if (iter % 200 == 0) lanes = kChunkLanes;
-    ChunkCase cc(&fuzz, lanes);
-
-    compiled->EvalChunk(cc.chunk, bound, &scratch, &out);
-    ASSERT_EQ(out.size(), lanes);
-    for (size_t i = 0; i < lanes; ++i) {
-      StatusOr<Value> interpreted = Evaluate(*expr, TestResolver(cc.rows[i]), params);
-      ASSERT_EQ(interpreted.ok(), out[i].ok())
-          << "iter " << iter << " lane " << i << ": " << expr->ToString() << "\n  interpreter: "
-          << (interpreted.ok() ? interpreted->ToSqlString()
-                               : interpreted.status().ToString())
-          << "\n  vectorized:  "
-          << (out[i].ok() ? out[i]->ToSqlString() : out[i].status().ToString());
-      if (interpreted.ok()) {
-        ASSERT_EQ(interpreted->ToSqlString(), out[i]->ToSqlString())
-            << "iter " << iter << " lane " << i << ": " << expr->ToString();
-      } else {
-        ASSERT_EQ(interpreted.status().code(), out[i].status().code())
-            << "iter " << iter << " lane " << i << ": " << expr->ToString();
-        ASSERT_EQ(interpreted.status().message(), out[i].status().message())
-            << "iter " << iter << " lane " << i << ": " << expr->ToString();
-      }
-    }
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
-  }
-}
-
-// MatchChunk against the row-at-a-time loop it replaces in MatchRows: same
-// match set, and on error the SAME error the loop would have stopped at
-// (the lowest lane's).
-TEST(SqlVectorFuzzTest, MatchChunkAgreesWithRowLoop) {
-  Fuzzer fuzz(0xC0DE);
-  ChunkScratch scratch;
-  EvalScratch row_scratch;
-  for (int iter = 0; iter < 800; ++iter) {
-    ExprPtr expr = fuzz.RandomExpr(4);
-    auto compiled = CompiledPredicate::Compile(*expr, TestBinder());
-    ASSERT_TRUE(compiled.ok()) << expr->ToString();
-    ParamMap params = fuzz.RandomParams();
-    BoundParams bound = compiled->BindParams(params);
-    size_t lanes = 1 + fuzz.PickN(40);
-    if (iter % 50 == 0) lanes = kChunkLanes;
-    ChunkCase cc(&fuzz, lanes);
-
-    // Oracle: the sequential loop.
-    Status expect_status = OkStatus();
-    std::vector<bool> expect_match(lanes, false);
-    for (size_t i = 0; i < lanes; ++i) {
-      auto m = compiled->Matches(cc.rows[i].data(), cc.rows[i].size(), bound, &row_scratch);
-      if (!m.ok()) {
-        expect_status = m.status();
-        break;
-      }
-      expect_match[i] = *m;
-    }
-
-    Status got = compiled->MatchChunk(cc.chunk, bound, &scratch);
-    ASSERT_EQ(expect_status.ok(), got.ok()) << "iter " << iter << ": " << expr->ToString()
-                                            << "\n  loop: " << expect_status.ToString()
-                                            << "\n  chunk: " << got.ToString();
-    if (!expect_status.ok()) {
-      ASSERT_EQ(expect_status.message(), got.message()) << "iter " << iter;
-      continue;
-    }
-    uint64_t expect_count = 0;
-    for (size_t i = 0; i < lanes; ++i) {
-      bool bit = (scratch.match_bits[i >> 6] >> (i & 63)) & 1;
-      ASSERT_EQ(expect_match[i], bit)
-          << "iter " << iter << " lane " << i << ": " << expr->ToString();
-      expect_count += expect_match[i];
-    }
-    ASSERT_EQ(scratch.match_count, expect_count);
-    ASSERT_EQ(scratch.lanes_evaluated, lanes);
   }
 }
 
