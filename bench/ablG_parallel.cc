@@ -28,6 +28,11 @@ namespace hotcrp = edna::hotcrp;
 // ~1000 users: 430 * 2.33.
 constexpr double kScale = 2.33;
 
+// Single runs of one argument spread by up to 1.7x on a 4-core host, so each
+// argument runs as this many one-iteration repetitions and reports their
+// median and spread (mean, median, stddev, cv) rather than one mean.
+constexpr int kRepetitions = 10;
+
 void BM_MassDeletion(benchmark::State& state) {
   int threads = static_cast<int>(state.range(0));
   // Hoisted so previous-iteration teardown happens while timing is paused.
@@ -105,7 +110,9 @@ BENCHMARK(BM_MassDeletion)
     ->Arg(8)
     ->ArgNames({"threads"})
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
+    ->Iterations(1)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 // Mixed batch: mass deletion with a reveal wave behind it (a third of the
 // users return), exercising the executor's per-user FIFO under load.
@@ -168,7 +175,9 @@ BENCHMARK(BM_MassDeletionWithReveals)
     ->Arg(4)
     ->ArgNames({"threads"})
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
+    ->Iterations(1)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
 
 }  // namespace
 

@@ -1,17 +1,11 @@
 #include "src/db/durable.h"
 
-#include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <unordered_map>
 
 #include "src/common/failpoint.h"
+#include "src/common/file.h"
 #include "src/common/logging.h"
 #include "src/common/strings.h"
 #include "src/db/storage.h"
@@ -33,106 +27,23 @@ constexpr char kJournalSuffix[] = ".ednj";
 thread_local std::unordered_map<const DurableDatabase*, std::vector<uint8_t>>
     tls_staged;
 
-Status WriteFully(int fd, const uint8_t* data, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    ssize_t n = ::write(fd, data + off, len - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Internal(std::string("write failed: ") + std::strerror(errno));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return OkStatus();
+std::string SnapshotPath(const std::string& dir, uint64_t lsn) {
+  return dir + "/" + kSnapshotPrefix +
+         std::to_string(static_cast<unsigned long long>(lsn)) + kSnapshotSuffix;
 }
 
-// fsyncs the directory so a just-renamed entry survives a crash.
-Status SyncDirectory(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) {
-    return Internal("cannot open directory \"" + dir + "\" for fsync");
-  }
-  int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) {
-    return Internal("fsync of directory \"" + dir + "\" failed");
-  }
-  return OkStatus();
-}
-
-// Atomic file install: write <final>.tmp, fsync it, rename over <final>,
-// fsync the directory. `rename_failpoint` (optional) is evaluated between
-// the temp write and the rename — the crash window where the new file is
-// complete but invisible.
-Status WriteFileDurably(const std::string& dir, const std::string& final_name,
-                        const std::vector<uint8_t>& bytes,
-                        const char* rename_failpoint) {
-  const std::string tmp = dir + "/" + final_name + ".tmp";
-  const std::string final_path = dir + "/" + final_name;
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Internal("cannot create \"" + tmp + "\": " + std::strerror(errno));
-  }
-  Status written = WriteFully(fd, bytes.data(), bytes.size());
-  if (written.ok() && ::fsync(fd) != 0) {
-    written = Internal("fsync of \"" + tmp + "\" failed");
-  }
-  ::close(fd);
-  if (!written.ok()) {
-    ::unlink(tmp.c_str());
-    return written;
-  }
-  if (rename_failpoint != nullptr) {
-    EDNA_FAIL_POINT(rename_failpoint);
-  }
-  if (::rename(tmp.c_str(), final_path.c_str()) != 0) {
-    return Internal("cannot install \"" + final_path + "\": " + std::strerror(errno));
-  }
-  return SyncDirectory(dir);
-}
-
-StatusOr<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) {
-      return NotFound("no file at \"" + path + "\"");
-    }
-    return Internal("cannot open \"" + path + "\": " + std::strerror(errno));
-  }
-  std::vector<uint8_t> bytes;
-  uint8_t buf[1 << 16];
-  while (true) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      ::close(fd);
-      return Internal("read of \"" + path + "\" failed: " + std::strerror(errno));
-    }
-    if (n == 0) {
-      break;
-    }
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  ::close(fd);
-  return bytes;
+std::string JournalPath(const std::string& dir, uint64_t lsn) {
+  return dir + "/" + kJournalPrefix +
+         std::to_string(static_cast<unsigned long long>(lsn)) + kJournalSuffix;
 }
 
 // Files named <prefix><decimal lsn><suffix> in `dir`, newest (highest LSN)
 // first.
-std::vector<std::pair<uint64_t, std::string>> ListByLsn(const std::string& dir,
-                                                        const std::string& prefix,
-                                                        const std::string& suffix) {
+StatusOr<std::vector<std::pair<uint64_t, std::string>>> ListByLsn(
+    const std::string& dir, const std::string& prefix, const std::string& suffix) {
+  ASSIGN_OR_RETURN(std::vector<std::string> names, ListDir(dir));
   std::vector<std::pair<uint64_t, std::string>> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    return out;
-  }
-  while (struct dirent* ent = ::readdir(d)) {
-    std::string name = ent->d_name;
+  for (std::string& name : names) {
     if (name.size() <= prefix.size() + suffix.size() ||
         name.compare(0, prefix.size(), prefix) != 0 ||
         name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
@@ -146,7 +57,6 @@ std::vector<std::pair<uint64_t, std::string>> ListByLsn(const std::string& dir,
     }
     out.emplace_back(std::strtoull(digits.c_str(), nullptr, 10), std::move(name));
   }
-  ::closedir(d);
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
   return out;
@@ -169,16 +79,6 @@ DurableDatabase::~DurableDatabase() {
   tls_staged.erase(this);
 }
 
-std::string DurableDatabase::SnapshotPath(uint64_t lsn) const {
-  return dir_ + "/" + kSnapshotPrefix +
-         std::to_string(static_cast<unsigned long long>(lsn)) + kSnapshotSuffix;
-}
-
-std::string DurableDatabase::JournalPath(uint64_t lsn) const {
-  return dir_ + "/" + kJournalPrefix +
-         std::to_string(static_cast<unsigned long long>(lsn)) + kJournalSuffix;
-}
-
 StatusOr<std::unique_ptr<DurableDatabase>> DurableDatabase::Open(
     const std::string& dir, const DurableOptions& options,
     DurableOpenReport* report) {
@@ -186,10 +86,7 @@ StatusOr<std::unique_ptr<DurableDatabase>> DurableDatabase::Open(
   DurableOpenReport* rep = report != nullptr ? report : &local;
   *rep = DurableOpenReport{};
 
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return FailedPrecondition("cannot create data directory \"" + dir +
-                              "\": " + std::strerror(errno));
-  }
+  RETURN_IF_ERROR(MakeDir(dir));
 
   // The WAL first: its scan (and torn-tail truncation) is independent of
   // which snapshot we start from, and its first replayable LSN decides how
@@ -208,7 +105,8 @@ StatusOr<std::unique_ptr<DurableDatabase>> DurableDatabase::Open(
   std::unique_ptr<Database> db;
   bool have_snapshot = false;
   uint64_t snapshot_lsn = 0;
-  for (auto& [lsn, name] : ListByLsn(dir, kSnapshotPrefix, kSnapshotSuffix)) {
+  ASSIGN_OR_RETURN(auto snapshots, ListByLsn(dir, kSnapshotPrefix, kSnapshotSuffix));
+  for (auto& [lsn, name] : snapshots) {
     StatusOr<std::unique_ptr<Database>> loaded =
         LoadDatabaseFromFile(dir + "/" + name);
     if (loaded.ok()) {
@@ -324,10 +222,7 @@ StatusOr<std::unique_ptr<DurableDatabase>> DurableDatabase::Open(
 
   // The engine's journal image that matches the chosen snapshot.
   if (have_snapshot) {
-    StatusOr<std::vector<uint8_t>> journal = ReadFileBytes(
-        dir + "/" + kJournalPrefix +
-        std::to_string(static_cast<unsigned long long>(snapshot_lsn)) +
-        kJournalSuffix);
+    StatusOr<std::vector<uint8_t>> journal = ReadFile(JournalPath(dir, snapshot_lsn));
     if (journal.ok()) {
       rep->journal_image = std::move(*journal);
     } else if (journal.status().code() != StatusCode::kNotFound) {
@@ -355,20 +250,13 @@ Status DurableDatabase::Checkpoint() {
   // the newest installed snapshot) and the next checkpoint collects it.
   if (sidecar_provider_) {
     EDNA_FAIL_POINT(failpoints::kJournalPersist);
-    RETURN_IF_ERROR(WriteFileDurably(
-        dir_,
-        kJournalPrefix + std::to_string(static_cast<unsigned long long>(mark)) +
-            kJournalSuffix,
-        sidecar_provider_(), nullptr));
+    RETURN_IF_ERROR(WriteFileAtomically(JournalPath(dir_, mark), sidecar_provider_()));
   }
 
   std::vector<uint8_t> wire = SerializeDatabase(*copy);
   copy.reset();
-  RETURN_IF_ERROR(WriteFileDurably(
-      dir_,
-      kSnapshotPrefix + std::to_string(static_cast<unsigned long long>(mark)) +
-          kSnapshotSuffix,
-      wire, failpoints::kSnapshotRename));
+  RETURN_IF_ERROR(
+      WriteFileAtomically(SnapshotPath(dir_, mark), wire, failpoints::kSnapshotRename));
 
   // Only now is it safe to drop the log prefix the snapshot covers. If
   // commits raced past `mark`, the log stays; replay just skips lsn <= mark.
@@ -392,14 +280,16 @@ Status DurableDatabase::MaybeCheckpoint() {
 Status DurableDatabase::Flush() { return wal_->Flush(); }
 
 void DurableDatabase::GarbageCollect(uint64_t keep_lsn) {
-  for (auto& [lsn, name] : ListByLsn(dir_, kSnapshotPrefix, kSnapshotSuffix)) {
-    if (lsn != keep_lsn) {
-      ::unlink((dir_ + "/" + name).c_str());
+  for (const auto& [prefix, suffix] : {std::pair{kSnapshotPrefix, kSnapshotSuffix},
+                                       std::pair{kJournalPrefix, kJournalSuffix}}) {
+    auto files = ListByLsn(dir_, prefix, suffix);
+    if (!files.ok()) {
+      continue;
     }
-  }
-  for (auto& [lsn, name] : ListByLsn(dir_, kJournalPrefix, kJournalSuffix)) {
-    if (lsn != keep_lsn) {
-      ::unlink((dir_ + "/" + name).c_str());
+    for (auto& [lsn, name] : *files) {
+      if (lsn != keep_lsn) {
+        RemoveFile(dir_ + "/" + name);
+      }
     }
   }
 }

@@ -130,10 +130,8 @@ class DurableDatabase : public WalSink {
                   std::unique_ptr<Database> db,
                   std::unique_ptr<WriteAheadLog> wal);
 
-  std::string SnapshotPath(uint64_t lsn) const;
-  std::string JournalPath(uint64_t lsn) const;
-
   // Deletes snapshot-*/journal-* files whose LSN differs from `keep_lsn`.
+  // Best effort: a file it fails to delete is retried by the next checkpoint.
   void GarbageCollect(uint64_t keep_lsn);
 
   const std::string dir_;

@@ -1,16 +1,11 @@
 #include "src/db/pagecache.h"
 
-#include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 
 #include "src/common/crc32.h"
 #include "src/common/failpoint.h"
+#include "src/common/file.h"
 #include "src/common/logging.h"
 #include "src/db/database.h"
 #include "src/db/table.h"
@@ -37,18 +32,8 @@ uint32_t ReadLe32(const uint8_t* p) {
          (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
 }
 
-Status WriteFullyAt(int fd, const uint8_t* data, size_t len, uint64_t off) {
-  size_t written = 0;
-  while (written < len) {
-    ssize_t n = ::pwrite(fd, data + written, len - written,
-                         static_cast<off_t>(off + written));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Internal(std::string("extent pwrite failed: ") + std::strerror(errno));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return OkStatus();
+bool IsExtentFile(const std::string& name) {
+  return name.size() > 4 && name.compare(name.size() - 4, 4, ".edx") == 0;
 }
 
 }  // namespace
@@ -172,23 +157,14 @@ PageCache::PageCache(CacheOptions options, std::string dir, DbStats* stats)
 PageCache::~PageCache() = default;
 
 Status PageCache::Init() {
-  if (::mkdir(dir_.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Internal("cannot create extents directory " + dir_ + ": " +
-                    std::strerror(errno));
-  }
+  RETURN_IF_ERROR(MakeDir(dir_));
   // Spill files are scoped to one process lifetime; stale ones are garbage.
-  DIR* d = ::opendir(dir_.c_str());
-  if (d == nullptr) {
-    return Internal("cannot open extents directory " + dir_ + ": " +
-                    std::strerror(errno));
-  }
-  while (struct dirent* ent = ::readdir(d)) {
-    const std::string name = ent->d_name;
-    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".edx") == 0) {
-      ::unlink((dir_ + "/" + name).c_str());
+  ASSIGN_OR_RETURN(std::vector<std::string> names, ListDir(dir_));
+  for (const std::string& name : names) {
+    if (IsExtentFile(name)) {
+      RemoveFile(dir_ + "/" + name);
     }
   }
-  ::closedir(d);
   return OkStatus();
 }
 
@@ -263,22 +239,8 @@ Status PageCache::Fault(TableState& ts, uint32_t table_id, uint64_t page,
 
 Status PageCache::ReadFrame(uint32_t table_id, uint64_t off, uint32_t len,
                             FramePages* pages) {
-  const std::string path = ExtentPath(table_id);
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) return NotFound("extent file missing: " + path);
-    return Internal("cannot open extent file " + path + ": " + std::strerror(errno));
-  }
-  std::vector<uint8_t> buf(len);
-  size_t got = 0;
-  while (got < len) {
-    ssize_t n = ::pread(fd, buf.data() + got, len - got, static_cast<off_t>(off + got));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    got += static_cast<size_t>(n);
-  }
-  ::close(fd);
-  if (got < len) return Internal("extent frame truncated: " + path);
+  ASSIGN_OR_RETURN(File extent, File::Open(ExtentPath(table_id), File::Mode::kRead));
+  ASSIGN_OR_RETURN(std::vector<uint8_t> buf, extent.ReadAt(off, len));
   if (len < kFrameHeaderSize) return Internal("extent frame shorter than header");
   if (ReadLe32(buf.data()) != kExtentMagic) return Internal("bad extent frame magic");
   if (buf[4] != kExtentVersion) return Internal("unsupported extent frame version");
@@ -504,14 +466,8 @@ StatusOr<bool> PageCache::EvictPages(uint32_t table_id,
 
       frame_off = ts.file_size;
       frame_len = static_cast<uint32_t>(frame.size());
-      const std::string path = ExtentPath(table_id);
-      const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
-      if (fd < 0) {
-        status = Internal("cannot open extent file " + path + ": " + std::strerror(errno));
-      } else {
-        status = WriteFullyAt(fd, frame.data(), frame.size(), frame_off);
-        ::close(fd);
-      }
+      StatusOr<File> extent = File::Open(ExtentPath(table_id), File::Mode::kReadWrite);
+      status = extent.ok() ? extent->WriteAt(frame_off, frame) : extent.status();
     }
     if (!status.ok()) {
       requeue_victims();
@@ -596,16 +552,11 @@ bool PageCache::DebugIsRowResident(const std::string& table, RowId id) {
 
 std::vector<std::string> PageCache::DebugExtentFiles() const {
   std::vector<std::string> files;
-  DIR* d = ::opendir(dir_.c_str());
-  if (d == nullptr) return files;
-  while (struct dirent* ent = ::readdir(d)) {
-    const std::string name = ent->d_name;
-    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".edx") == 0) {
-      files.push_back(dir_ + "/" + name);
-    }
+  StatusOr<std::vector<std::string>> names = ListDir(dir_);
+  if (!names.ok()) return files;
+  for (const std::string& name : *names) {
+    if (IsExtentFile(name)) files.push_back(dir_ + "/" + name);
   }
-  ::closedir(d);
-  std::sort(files.begin(), files.end());
   return files;
 }
 

@@ -168,7 +168,6 @@ class PageCache {
   struct TableState {
     std::string name;
     Table* table = nullptr;
-    int fd = -1;
     uint64_t file_size = 0;
     std::unordered_map<uint64_t, PageMeta> pages;
   };

@@ -1,9 +1,8 @@
 #include "src/db/storage.h"
 
-#include <cstdio>
-
 #include "src/common/crc32.h"
 #include "src/common/failpoint.h"
+#include "src/common/file.h"
 #include "src/common/strings.h"
 #include "src/sql/codec.h"
 
@@ -217,39 +216,12 @@ StatusOr<std::unique_ptr<Database>> DeserializeDatabase(const std::vector<uint8_
 
 Status SaveDatabaseToFile(const Database& db, const std::string& path) {
   EDNA_FAIL_POINT(failpoints::kStorageSave);
-  std::vector<uint8_t> wire = SerializeDatabase(db);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return FailedPrecondition("cannot open \"" + path + "\" for writing");
-  }
-  size_t written = std::fwrite(wire.data(), 1, wire.size(), f);
-  int close_rc = std::fclose(f);
-  if (written != wire.size() || close_rc != 0) {
-    return Internal("short write to \"" + path + "\"");
-  }
-  return OkStatus();
+  return WriteFileAtomically(path, SerializeDatabase(db));
 }
 
 StatusOr<std::unique_ptr<Database>> LoadDatabaseFromFile(const std::string& path) {
   EDNA_FAIL_POINT(failpoints::kStorageLoad);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return NotFound("no database image at \"" + path + "\"");
-  }
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (size < 0) {
-    std::fclose(f);
-    return Internal("cannot stat \"" + path + "\"");
-  }
-  std::vector<uint8_t> wire(static_cast<size_t>(size));
-  size_t got = std::fread(wire.data(), 1, wire.size(), f);
-  std::fclose(f);
-  if (got != wire.size()) {
-    return Internal(StrFormat("short read from \"%s\" (%zu of %zu bytes)", path.c_str(),
-                              got, wire.size()));
-  }
+  ASSIGN_OR_RETURN(std::vector<uint8_t> wire, ReadFile(path));
   StatusOr<std::unique_ptr<Database>> db = DeserializeDatabase(wire);
   if (!db.ok() && db.status().code() == StatusCode::kInvalidArgument) {
     return InvalidArgument("corrupt database image \"" + path +

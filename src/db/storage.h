@@ -33,6 +33,9 @@ std::vector<uint8_t> SerializeDatabase(const Database& db);
 StatusOr<std::unique_ptr<Database>> DeserializeDatabase(const std::vector<uint8_t>& wire);
 
 // File convenience wrappers.
+//
+// Saves through WriteFileAtomically (src/common/file.h): a save that fails
+// leaves the previous image at `path` intact.
 Status SaveDatabaseToFile(const Database& db, const std::string& path);
 
 // Loads an image file. The status code distinguishes the failure classes a

@@ -1,11 +1,6 @@
 #include "src/db/wal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "src/common/crc32.h"
@@ -26,21 +21,6 @@ constexpr size_t kFrameHeaderSize = 8;  // payload_len + crc
 // Upper bound on one frame's payload; anything larger during the scan is
 // treated as a torn length field, not an allocation request.
 constexpr uint32_t kMaxPayload = 1u << 30;
-
-Status WriteFully(int fd, const uint8_t* data, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    ssize_t n = ::write(fd, data + off, len - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Internal(StrFormat("WAL write failed: %s", std::strerror(errno)));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return OkStatus();
-}
 
 std::vector<uint8_t> EncodeHeader(uint64_t base_lsn) {
   sql::ByteWriter w;
@@ -188,21 +168,14 @@ StatusOr<WalRecord> DecodeWalPayload(const std::vector<uint8_t>& payload) {
 
 // --- Open / scan -------------------------------------------------------------
 
-WriteAheadLog::WriteAheadLog(std::string path, int fd, const WalOptions& options,
-                             uint64_t next_lsn, uint64_t size_bytes)
-    : path_(std::move(path)),
-      options_(options),
-      fd_(fd),
+WriteAheadLog::WriteAheadLog(File wal_file, const WalOptions& options, uint64_t next_lsn,
+                             uint64_t size_bytes)
+    : options_(options),
+      wal_file_(std::move(wal_file)),
       next_lsn_(next_lsn),
       size_bytes_(size_bytes) {
   appended_lsn_.store(next_lsn_ - 1, std::memory_order_relaxed);
   durable_lsn_ = next_lsn_ - 1;  // everything recovered from disk is durable
-}
-
-WriteAheadLog::~WriteAheadLog() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-  }
 }
 
 StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
@@ -211,52 +184,27 @@ StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
   replay->clear();
   *stats = WalScanStats{};
 
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Internal(StrFormat("cannot open WAL \"%s\": %s", path.c_str(),
-                              std::strerror(errno)));
-  }
-  off_t end = ::lseek(fd, 0, SEEK_END);
-  if (end < 0) {
-    ::close(fd);
-    return Internal("cannot stat WAL \"" + path + "\"");
-  }
+  ASSIGN_OR_RETURN(File wal_file, File::Open(path, File::Mode::kReadWrite));
+  ASSIGN_OR_RETURN(uint64_t end, wal_file.Size());
 
   if (end == 0) {
     // Fresh log: write the header before handing the log out, so a crash
-    // right after creation still leaves a well-formed (empty) file.
+    // right after creation still leaves a well-formed (empty) file, and
+    // sync the directory so that the new file's entry survives one too.
     std::vector<uint8_t> header = EncodeHeader(/*base_lsn=*/1);
-    Status written = WriteFully(fd, header.data(), header.size());
-    if (written.ok() && ::fsync(fd) != 0) {
-      written = Internal(StrFormat("fsync of new WAL failed: %s", std::strerror(errno)));
-    }
-    if (!written.ok()) {
-      ::close(fd);
-      return written;
-    }
+    RETURN_IF_ERROR(wal_file.WriteAt(0, header));
+    RETURN_IF_ERROR(wal_file.Sync());
+    RETURN_IF_ERROR(SyncParentDir(path));
     return std::unique_ptr<WriteAheadLog>(
-        new WriteAheadLog(path, fd, options, /*next_lsn=*/1, header.size()));
+        new WriteAheadLog(std::move(wal_file), options, /*next_lsn=*/1, header.size()));
   }
 
   // Existing log: read it fully and scan.
-  std::vector<uint8_t> file(static_cast<size_t>(end));
-  size_t off = 0;
-  while (off < file.size()) {
-    ssize_t n = ::pread(fd, file.data() + off, file.size() - off, static_cast<off_t>(off));
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      ::close(fd);
-      return Internal("cannot read WAL \"" + path + "\"");
-    }
-    off += static_cast<size_t>(n);
-  }
+  ASSIGN_OR_RETURN(std::vector<uint8_t> file, wal_file.ReadAt(0, end));
 
   // Header. A file too short to hold one, or with the wrong magic/version,
   // is not "an empty log" — refuse rather than silently discard history.
   if (file.size() < kHeaderSize) {
-    ::close(fd);
     return InvalidArgument("WAL \"" + path + "\" is shorter than its header");
   }
   sql::ByteReader hdr(file);
@@ -268,7 +216,6 @@ StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     auto v = hdr.U32();
     auto b = hdr.U64();
     if (!m.ok() || !v.ok() || !b.ok()) {
-      ::close(fd);
       return InvalidArgument("WAL \"" + path + "\" header is unreadable");
     }
     magic = *m;
@@ -276,15 +223,12 @@ StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     base_lsn = *b;
   }
   if (magic != kWalMagic) {
-    ::close(fd);
     return InvalidArgument("\"" + path + "\" is not a WAL file (bad magic)");
   }
   if (version != kWalVersion) {
-    ::close(fd);
     return InvalidArgument(StrFormat("unsupported WAL version %u", version));
   }
   if (base_lsn == 0) {
-    ::close(fd);
     return InvalidArgument("WAL header carries invalid base LSN 0");
   }
 
@@ -335,25 +279,14 @@ StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
 
   if (pos < file.size()) {
     // Drop the torn tail so the next append starts on a frame boundary.
-    if (::ftruncate(fd, static_cast<off_t>(pos)) != 0) {
-      ::close(fd);
-      return Internal(StrFormat("cannot truncate torn WAL tail: %s", std::strerror(errno)));
-    }
-    if (::fsync(fd) != 0) {
-      ::close(fd);
-      return Internal(StrFormat("fsync after tail truncation failed: %s",
-                                std::strerror(errno)));
-    }
+    RETURN_IF_ERROR(wal_file.Truncate(pos));
+    RETURN_IF_ERROR(wal_file.Sync());
     EDNA_LOG(kWarning) << "WAL \"" << path << "\": dropped " << stats->torn_bytes_dropped
                        << " torn byte(s) (" << stats->torn_reason << "), kept "
                        << replay->size() << " record(s)";
   }
-  if (::lseek(fd, static_cast<off_t>(pos), SEEK_SET) < 0) {
-    ::close(fd);
-    return Internal("cannot seek WAL \"" + path + "\"");
-  }
   return std::unique_ptr<WriteAheadLog>(
-      new WriteAheadLog(path, fd, options, expected_lsn, pos));
+      new WriteAheadLog(std::move(wal_file), options, expected_lsn, pos));
 }
 
 // --- Append / sync -----------------------------------------------------------
@@ -374,7 +307,7 @@ StatusOr<uint64_t> WriteAheadLog::Append(const WalRecord& record) {
   w.U32(Crc32(payload));
   w.Bytes(payload.data(), payload.size());
   std::vector<uint8_t> frame = w.Take();
-  Status written = WriteFully(fd_, frame.data(), frame.size());
+  Status written = wal_file_.WriteAt(size_bytes_, frame);
   if (!written.ok()) {
     write_error_ = written;  // sticky: the file now ends mid-frame
     return written;
@@ -383,13 +316,6 @@ StatusOr<uint64_t> WriteAheadLog::Append(const WalRecord& record) {
   ++next_lsn_;
   appended_lsn_.store(framed.lsn, std::memory_order_release);
   return framed.lsn;
-}
-
-Status WriteAheadLog::FsyncLocked() {
-  if (::fsync(fd_) != 0) {
-    return Internal(StrFormat("WAL fsync failed: %s", std::strerror(errno)));
-  }
-  return OkStatus();
 }
 
 Status WriteAheadLog::Sync(uint64_t lsn) {
@@ -421,7 +347,7 @@ Status WriteAheadLog::Sync(uint64_t lsn) {
   }
   // Everything appended before the fsync is covered by it.
   uint64_t covered = appended_lsn_.load(std::memory_order_acquire);
-  Status synced = FsyncLocked();
+  Status synced = wal_file_.Sync();
 
   lk.lock();
   sync_in_progress_ = false;
@@ -456,7 +382,7 @@ StatusOr<bool> WriteAheadLog::TruncateIfCovered(uint64_t lsn) {
       return sync_error_;
     }
     if (durable_lsn_ < lsn) {
-      Status synced = FsyncLocked();
+      Status synced = wal_file_.Sync();
       if (!synced.ok()) {
         sync_error_ = synced;
         sync_cv_.notify_all();
@@ -472,26 +398,16 @@ StatusOr<bool> WriteAheadLog::TruncateIfCovered(uint64_t lsn) {
   // first merely makes the old frames unreachable (LSN discontinuity →
   // treated as torn tail), which replay already tolerates because the
   // snapshot covering `lsn` supersedes them.
-  std::vector<uint8_t> header = EncodeHeader(lsn + 1);
-  if (::lseek(fd_, 0, SEEK_SET) < 0) {
-    return Internal("cannot seek WAL for truncation");
+  Status written = wal_file_.WriteAt(0, EncodeHeader(lsn + 1));
+  if (written.ok()) {
+    written = wal_file_.Truncate(kHeaderSize);
   }
-  Status written = WriteFully(fd_, header.data(), header.size());
+  if (written.ok()) {
+    written = wal_file_.Sync();
+  }
   if (!written.ok()) {
     write_error_ = written;
     return written;
-  }
-  if (::ftruncate(fd_, static_cast<off_t>(kHeaderSize)) != 0) {
-    write_error_ = Internal(StrFormat("WAL truncate failed: %s", std::strerror(errno)));
-    return write_error_;
-  }
-  if (::fsync(fd_) != 0) {
-    write_error_ = Internal(StrFormat("fsync after WAL truncate failed: %s",
-                                      std::strerror(errno)));
-    return write_error_;
-  }
-  if (::lseek(fd_, static_cast<off_t>(kHeaderSize), SEEK_SET) < 0) {
-    return Internal("cannot seek WAL after truncation");
   }
   size_bytes_ = kHeaderSize;
   return true;

@@ -41,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/file.h"
 #include "src/common/status.h"
 #include "src/db/row.h"
 #include "src/db/schema.h"
@@ -121,8 +122,6 @@ class WriteAheadLog {
       const std::string& path, const WalOptions& options,
       std::vector<WalRecord>* replay, WalScanStats* stats);
 
-  ~WriteAheadLog();
-
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
@@ -151,17 +150,13 @@ class WriteAheadLog {
   const WalOptions& options() const { return options_; }
 
  private:
-  WriteAheadLog(std::string path, int fd, const WalOptions& options,
-                uint64_t next_lsn, uint64_t size_bytes);
+  WriteAheadLog(File wal_file, const WalOptions& options, uint64_t next_lsn,
+                uint64_t size_bytes);
 
-  // fsyncs the fd; wraps the result in the sticky error state.
-  Status FsyncLocked();
-
-  const std::string path_;
   const WalOptions options_;
 
   mutable std::mutex append_mu_;  // serializes writes + header rewrites
-  int fd_ = -1;
+  File wal_file_;  // appends write at size_bytes_
   uint64_t next_lsn_ = 1;
   uint64_t size_bytes_ = 0;
   Status write_error_;  // sticky: first failed append poisons the log

@@ -1,14 +1,11 @@
 #include "src/server/shard.h"
 
-#include <sys/stat.h>
-
-#include <cerrno>
-#include <cstring>
-#include <fstream>
+#include <algorithm>
 #include <functional>
 #include <future>
 
 #include "src/common/failpoint.h"
+#include "src/common/file.h"
 #include "src/common/strings.h"
 
 namespace edna::server {
@@ -17,21 +14,14 @@ namespace {
 
 constexpr char kManifestName[] = "shards.manifest";
 
-Status EnsureDir(const std::string& dir) {
-  if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Internal(StrFormat("mkdir %s: %s", dir.c_str(), std::strerror(errno)));
-  }
-  return OkStatus();
-}
-
 // The manifest pins the shard count: reopening a 4-shard directory as
 // 2 shards would re-route half the users to shards that never saw them.
 Status CheckOrWriteManifest(const std::string& root, int num_shards) {
   const std::string path = root + "/" + kManifestName;
-  std::ifstream in(path);
-  if (in) {
-    std::string line;
-    std::getline(in, line);
+  StatusOr<std::vector<uint8_t>> manifest = ReadFile(path);
+  if (manifest.ok()) {
+    const std::string line(manifest->begin(),
+                           std::find(manifest->begin(), manifest->end(), '\n'));
     uint64_t recorded = 0;
     if (!ParseUint64(StrTrim(line), &recorded)) {
       return InvalidArgument(StrFormat("%s: unreadable shard count \"%s\"", path.c_str(),
@@ -45,13 +35,11 @@ Status CheckOrWriteManifest(const std::string& root, int num_shards) {
     }
     return OkStatus();
   }
-  std::ofstream out(path, std::ios::trunc);
-  out << num_shards << "\n";
-  out.flush();
-  if (!out) {
-    return Internal(StrFormat("cannot write %s", path.c_str()));
+  if (manifest.status().code() != StatusCode::kNotFound) {
+    return manifest.status();
   }
-  return OkStatus();
+  const std::string line = std::to_string(num_shards) + "\n";
+  return WriteFileAtomically(path, std::vector<uint8_t>(line.begin(), line.end()));
 }
 
 }  // namespace
@@ -62,7 +50,7 @@ StatusOr<std::unique_ptr<ShardSet>> ShardSet::Open(const std::string& root_dir,
     return InvalidArgument(StrFormat("num_shards must be >= 1 (got %d)",
                                      options.num_shards));
   }
-  RETURN_IF_ERROR(EnsureDir(root_dir));
+  RETURN_IF_ERROR(MakeDir(root_dir));
   RETURN_IF_ERROR(CheckOrWriteManifest(root_dir, options.num_shards));
 
   auto set = std::unique_ptr<ShardSet>(new ShardSet());

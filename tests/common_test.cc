@@ -1,9 +1,11 @@
-// Unit tests for src/common: status, strings, rng, clock.
+// Unit tests for src/common: status, strings, rng, clock, file.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 
 #include "src/common/clock.h"
+#include "src/common/file.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/strings.h"
@@ -280,6 +282,70 @@ TEST(ClockTest, SystemClockIsPlausible) {
   SystemClock clock;
   TimePoint now = clock.Now();
   EXPECT_GT(now, 1'600'000'000);  // after Sep 2020
+}
+
+// --- File --------------------------------------------------------------------
+
+class FileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::string tmpl = ::testing::TempDir() + "/edna_file_test_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+    dir_ = tmpl;
+  }
+  void TearDown() override { std::system(("rm -rf " + dir_).c_str()); }
+
+  std::string dir_;
+};
+
+TEST_F(FileTest, WriteAtomicallyThenReadBack) {
+  const std::string path = dir_ + "/f";
+  ASSERT_TRUE(WriteFileAtomically(path, {1, 2, 3, 4}).ok());
+  ASSERT_TRUE(WriteFileAtomically(path, {5, 6}).ok());
+  auto bytes = ReadFile(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  EXPECT_EQ(*bytes, (std::vector<uint8_t>{5, 6}));
+  auto names = ListDir(dir_);
+  ASSERT_TRUE(names.ok()) << names.status();
+  EXPECT_EQ(*names, std::vector<std::string>{"f"});  // no temporary left
+}
+
+TEST_F(FileTest, PositionalWritesReadsAndTruncate) {
+  auto file = File::Open(dir_ + "/f", File::Mode::kReadWrite);
+  ASSERT_TRUE(file.ok()) << file.status();
+  ASSERT_TRUE(file->WriteAt(0, {1, 2, 3}).ok());
+  ASSERT_TRUE(file->WriteAt(3, {4, 5}).ok());
+  ASSERT_TRUE(file->Sync().ok());
+  EXPECT_EQ(*file->Size(), 5u);
+  EXPECT_EQ(*file->ReadAt(1, 3), (std::vector<uint8_t>{2, 3, 4}));
+  // Reading past the end is a short read, not a shorter result.
+  EXPECT_EQ(file->ReadAt(4, 2).status().code(), StatusCode::kInternal);
+  ASSERT_TRUE(file->Truncate(2).ok());
+  EXPECT_EQ(*file->Size(), 2u);
+}
+
+// ENOENT is kNotFound; anything else is kInternal naming the path.
+TEST_F(FileTest, ErrnoMapping) {
+  const std::string missing = dir_ + "/missing";
+  EXPECT_EQ(ReadFile(missing).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(File::Open(missing, File::Mode::kRead).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(ListDir(missing).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(RemoveFile(missing).code(), StatusCode::kNotFound);
+  EXPECT_EQ(MakeDir(missing + "/child").code(), StatusCode::kNotFound);
+
+  const Status is_dir = ReadFile(dir_).status();
+  EXPECT_EQ(is_dir.code(), StatusCode::kInternal);
+  EXPECT_NE(is_dir.message().find(dir_), std::string::npos) << is_dir;
+}
+
+TEST_F(FileTest, MakeDirListDirRemoveFile) {
+  ASSERT_TRUE(MakeDir(dir_ + "/sub").ok());
+  ASSERT_TRUE(MakeDir(dir_ + "/sub").ok());  // already there
+  ASSERT_TRUE(WriteFileAtomically(dir_ + "/sub/b", {}).ok());
+  ASSERT_TRUE(WriteFileAtomically(dir_ + "/sub/a", {}).ok());
+  EXPECT_EQ(*ListDir(dir_ + "/sub"), (std::vector<std::string>{"a", "b"}));
+  ASSERT_TRUE(RemoveFile(dir_ + "/sub/a").ok());
+  EXPECT_EQ(*ListDir(dir_ + "/sub"), std::vector<std::string>{"b"});
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 // Tests for whole-database serialization (db/storage): round trips, format
 // robustness, and FK-order independence (self-referencing tables).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/apps/lobsters/generator.h"
 #include "src/db/storage.h"
@@ -147,6 +151,40 @@ TEST(StorageTest, FileRoundTrip) {
   EXPECT_EQ(Dump(**loaded), Dump(db));
   std::remove(path.c_str());
   EXPECT_EQ(LoadDatabaseFromFile(path).status().code(), StatusCode::kNotFound);
+}
+
+// A save that fails part-way must leave the previous image intact. The
+// failure is a real short write: a forked child may grow files to at most
+// 4 KiB (RLIMIT_FSIZE, with SIGXFSZ ignored so the write fails with EFBIG
+// instead of killing it) and saves an image larger than that.
+TEST(StorageTest, ShortWriteKeepsPreviousImage) {
+  Database db;
+  FillSmallDb(&db);
+  const std::string path = ::testing::TempDir() + "/edna_storage_short_write.edb";
+  ASSERT_TRUE(SaveDatabaseToFile(db, path).ok());
+  const std::string first = Dump(db);
+
+  ASSERT_TRUE(db.Insert("users", {Value::Null(), Value::String("c"), Value::Null(),
+                                  Value::Null(), Value::Bool(true),
+                                  Value::Blob(std::vector<uint8_t>(16384, 7))})
+                  .ok());
+  EXPECT_EXIT(
+      {
+        std::signal(SIGXFSZ, SIG_IGN);
+        rlimit limit{};
+        limit.rlim_cur = limit.rlim_max = 4096;
+        setrlimit(RLIMIT_FSIZE, &limit);
+        const Status saved = SaveDatabaseToFile(db, path);
+        std::fprintf(stderr, "%s\n", saved.ToString().c_str());
+        std::_Exit(saved.ok() ? 1 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  auto reloaded = LoadDatabaseFromFile(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  EXPECT_EQ(Dump(**reloaded), first);
+  EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
+  std::remove(path.c_str());
 }
 
 // Property: no prefix of a valid image deserializes. Every cut point must

@@ -9,7 +9,12 @@
 // and flushes are refused — so on-disk state is exactly what a process
 // death would leave.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <csignal>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,6 +41,38 @@ class ServerCrashTest : public ::testing::Test {
   void SetUp() override { FailPoints::Instance().DisableAll(); }
   void TearDown() override { FailPoints::Instance().DisableAll(); }
 };
+
+// shards.manifest pins the shard count, so a manifest cut short by a full
+// disk would pin a wrong count for good. A forked child opens a 10-shard set
+// while it may grow files to at most 1 byte (RLIMIT_FSIZE, with SIGXFSZ
+// ignored so the write fails with EFBIG): the open fails and leaves no
+// manifest, so a normal open afterwards succeeds. The count that open
+// records then holds: another count is refused.
+TEST_F(ServerCrashTest, ShortManifestWriteLeavesNoManifest) {
+  testing::TempDir tmp;
+  ShardSetOptions sopts;
+  sopts.num_shards = 10;
+  sopts.threads_per_shard = 1;
+  EXPECT_EXIT(
+      {
+        std::signal(SIGXFSZ, SIG_IGN);
+        rlimit limit{};
+        limit.rlim_cur = limit.rlim_max = 1;
+        setrlimit(RLIMIT_FSIZE, &limit);
+        const Status opened = ShardSet::Open(tmp.data(), sopts).status();
+        std::fprintf(stderr, "%s\n", opened.ToString().c_str());
+        std::_Exit(opened.ok() ? 1 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_NE(::access((tmp.data() + "/shards.manifest").c_str(), F_OK), 0);
+
+  auto reopened = ShardSet::Open(tmp.data(), sopts);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  reopened->reset();
+  sopts.num_shards = 3;
+  auto refused = ShardSet::Open(tmp.data(), sopts);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument) << refused.status();
+}
 
 // Reopens the rig's data directories and checks every shard recovered
 // audit-clean and serves work again.

@@ -90,7 +90,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -107,6 +106,7 @@
 #include "src/apps/lobsters/schema.h"
 #include "src/apps/lobsters/generator.h"
 #include "src/common/clock.h"
+#include "src/common/file.h"
 #include "src/common/strings.h"
 #include "src/core/batch.h"
 #include "src/server/client.h"
@@ -239,14 +239,9 @@ StatusOr<edna::db::DurableOptions> DurableOptsFromArgs(const Args& args) {
   return opts;
 }
 
-StatusOr<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return edna::NotFound("cannot open \"" + path + "\"");
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+StatusOr<std::string> ReadTextFile(const std::string& path) {
+  ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, edna::ReadFile(path));
+  return std::string(bytes.begin(), bytes.end());
 }
 
 // Resolves a spec argument: a shipped name or a path to a spec file.
@@ -263,7 +258,7 @@ StatusOr<edna::disguise::DisguiseSpec> ResolveSpec(const std::string& arg) {
   if (arg == edna::lobsters::kGdprName) {
     return edna::lobsters::GdprSpec();
   }
-  ASSIGN_OR_RETURN(std::string text, ReadFile(arg));
+  ASSIGN_OR_RETURN(std::string text, ReadTextFile(arg));
   return edna::disguise::ParseDisguiseSpec(text);
 }
 
@@ -537,7 +532,7 @@ Status ApplyAnnotationsFlag(const Args& args, edna::db::Schema* schema) {
   if (!args.Has("annotations")) {
     return edna::OkStatus();
   }
-  ASSIGN_OR_RETURN(std::string text, ReadFile(args.Get("annotations")));
+  ASSIGN_OR_RETURN(std::string text, ReadTextFile(args.Get("annotations")));
   ASSIGN_OR_RETURN(auto annotations,
                    edna::analysis::ParseSensitivityAnnotations(text));
   return edna::analysis::ApplySensitivityAnnotations(annotations, schema);
@@ -798,7 +793,7 @@ int CmdApply(const Args& args) {
 // Parses a uids file: one integer id per line; blank lines and lines
 // starting with '#' are skipped.
 StatusOr<std::vector<int64_t>> ReadUidsFile(const std::string& path) {
-  ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  ASSIGN_OR_RETURN(std::string text, ReadTextFile(path));
   std::vector<int64_t> uids;
   std::istringstream in(text);
   std::string line;
@@ -1093,12 +1088,12 @@ int CmdServe(const Args& args) {
     return Fail(started);
   }
   if (args.Has("port-file")) {
-    std::ofstream out(args.Get("port-file"), std::ios::trunc);
-    out << server.port() << "\n";
-    out.flush();
-    if (!out) {
+    const std::string line = std::to_string(server.port()) + "\n";
+    Status written = edna::WriteFileAtomically(args.Get("port-file"),
+                                               std::vector<uint8_t>(line.begin(), line.end()));
+    if (!written.ok()) {
       server.Stop();
-      return Fail(edna::Internal("cannot write --port-file " + args.Get("port-file")));
+      return Fail(written);
     }
   }
   std::printf("disguised: serving %s on 127.0.0.1:%u (%zu shard(s), %d thread(s) each)\n",
